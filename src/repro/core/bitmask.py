@@ -154,14 +154,17 @@ def generate_bitmasks_fast(
 ) -> BitmaskTable:
     """Vectorised equivalent of :func:`generate_bitmasks`.
 
-    The reference loops over every (Gaussian, group) pair and tests the
-    Gaussian against the group's tiles one pair at a time.  Here the
-    group's tile rectangles are padded into a dense ``(groups, slots)``
-    layout and a single batched boundary test covers every
-    (pair, tile-slot) combination at once.  Masks, pair order and all
-    counters are identical to the reference — enforced by equivalence
-    tests — which keeps GS-TG's losslessness property intact through the
-    fast path.
+    The reference tests every (Gaussian, group) pair against all of the
+    group's tiles, one pair at a time.  Here every pair's tile slots are
+    laid out densely, the slots whose rectangle does not even touch the
+    Gaussian's :func:`bounding_rects` rectangle are culled — that
+    rectangle contains the boundary shape, the containment the
+    reference's row-range accounting already relies on, so a culled slot
+    cannot hit — and one batched boundary test runs on the survivors
+    (about a third of the slots at 16 tiles per group).  Masks, pair
+    order and all counters are identical to the reference — enforced by
+    equivalence tests — which keeps GS-TG's losslessness property intact
+    through the fast path.
     """
     if group_assignment.grid.tile_size != geometry.group_size:
         raise ValueError("group assignment grid does not match the geometry")
@@ -173,63 +176,58 @@ def generate_bitmasks_fast(
 
     k = group_assignment.num_pairs
     method = BoundaryMethod(method)
-    if k == 0:
-        if stats is not None:
-            stats.bitmask_test_cost = method.relative_test_cost
-            stats.bitmask_bits = geometry.tiles_per_group
-        return BitmaskTable(
-            geometry=geometry,
-            method=method,
-            gaussian_ids=group_assignment.gaussian_ids.copy(),
-            group_ids=group_assignment.tile_ids.copy(),
-            masks=np.zeros(0, dtype=np.uint64),
-            num_tile_tests=0,
+    masks = np.zeros(k, dtype=np.uint64)
+    num_tests = 0
+    if k:
+        tg = geometry.tile_grid
+        side = geometry.tiles_per_side
+        unique_groups, inverse = np.unique(
+            group_assignment.tile_ids, return_inverse=True
         )
 
-    tg = geometry.tile_grid
-    slots_max = geometry.tiles_per_group
-    unique_groups, inverse = np.unique(
-        group_assignment.tile_ids, return_inverse=True
-    )
+        # Dense per-group layout: column ``s`` is tile slot ``s``; slots
+        # of an edge group that fall outside the image are invalid.
+        gx, gy = geometry.group_grid.tile_coords(unique_groups)
+        slot = np.arange(geometry.tiles_per_group)
+        tx = gx[:, None] * side + slot % side
+        ty = gy[:, None] * side + slot // side
+        valid = (tx < tg.tiles_x) & (ty < tg.tiles_y)
+        rects = tg.tile_rects(tg.tile_id(tx, ty).ravel()).reshape(
+            *valid.shape, 4
+        )
+        pair_rects = rects[inverse]                 # (k, slots, 4)
+        pair_valid = valid[inverse]                 # (k, slots)
 
-    # Dense per-group tile layout: rects/slots padded to tiles_per_group
-    # with a validity mask (edge groups clipped by the image have fewer
-    # tiles).
-    g = unique_groups.shape[0]
-    padded_rects = np.zeros((g, slots_max, 4), dtype=np.float64)
-    padded_slots = np.zeros((g, slots_max), dtype=np.int64)
-    valid = np.zeros((g, slots_max), dtype=bool)
-    for gi, group in enumerate(unique_groups):
-        tiles = geometry.tiles_of_group(int(group))
-        n = tiles.shape[0]
-        padded_rects[gi, :n] = tg.tile_rects(tiles)
-        padded_slots[gi, :n] = geometry.slots_of_group(int(group))
-        valid[gi, :n] = True
+        # Row-range test accounting, identical to the reference: a pair
+        # is charged one test per group tile whose (clipped) rect row
+        # range overlaps the Gaussian's bounding rectangle.
+        brects = bounding_rects(proj, method)[group_assignment.gaussian_ids]
+        in_row_range = (
+            (pair_rects[:, :, 1] <= brects[:, 3, None])
+            & (pair_rects[:, :, 3] >= brects[:, 1, None])
+            & pair_valid
+        )
+        num_tests = int(np.count_nonzero(in_row_range))
 
-    pair_rects = padded_rects[inverse]          # (k, slots_max, 4)
-    pair_valid = valid[inverse]                 # (k, slots_max)
-    pair_slots = padded_slots[inverse]          # (k, slots_max)
-    flat_gauss = np.repeat(group_assignment.gaussian_ids, slots_max)
-    hits = pair_rect_hits(
-        proj, flat_gauss, pair_rects.reshape(-1, 4), method
-    ).reshape(k, slots_max)
-    hits &= pair_valid
-
-    bits = np.left_shift(
-        np.uint64(1), pair_slots.astype(np.uint64)
-    ) * hits.astype(np.uint64)
-    masks = bits.sum(axis=1, dtype=np.uint64)
-
-    # Row-range test accounting, identical to the reference: a pair is
-    # charged one test per group tile whose (clipped) rect row range
-    # overlaps the Gaussian's bounding rectangle.
-    brects = bounding_rects(proj, method)[group_assignment.gaussian_ids]
-    in_row_range = (
-        (pair_rects[:, :, 1] <= brects[:, 3][:, None])
-        & (pair_rects[:, :, 3] >= brects[:, 1][:, None])
-        & pair_valid
-    )
-    num_tests = int(np.count_nonzero(in_row_range))
+        # Cull: a slot can only hit where its rect touches the bounding
+        # rectangle on both axes (closed intervals, like the tests).
+        touches = (
+            in_row_range
+            & (pair_rects[:, :, 0] <= brects[:, 2, None])
+            & (pair_rects[:, :, 2] >= brects[:, 0, None])
+        )
+        pair_idx, slot_idx = np.nonzero(touches)
+        hits = pair_rect_hits(
+            proj,
+            group_assignment.gaussian_ids[pair_idx],
+            pair_rects[pair_idx, slot_idx],
+            method,
+        )
+        np.bitwise_or.at(
+            masks,
+            pair_idx[hits],
+            np.left_shift(np.uint64(1), slot_idx[hits].astype(np.uint64)),
+        )
 
     if stats is not None:
         stats.bitmask_tests += num_tests

@@ -11,15 +11,25 @@ grouped NumPy operations over *all* non-empty tiles of a frame:
   ``depth_sort`` would have produced, because the per-tile sort uses the
   same (depth, id) key.
 * **Batched blending** — tiles advance through their sorted lists in
-  lock-step: at step ``j`` the ``j``-th Gaussian of every still-active
-  tile is evaluated in one fused alpha/blend pass over all of those
-  tiles' live pixels.  Per-pixel arithmetic is elementwise and performed
-  in the same order as the sequential path, so images are **bit-identical**
-  to :func:`repro.raster.blend.blend_tile` — the early-exit, cutoff and
+  lock-step: at step ``j`` the ``j``-th Gaussian of every tile is
+  evaluated over all of those tiles' pixels in one pass.  The blend
+  state (pixel centre, transmittance, colour) is stored *aligned with
+  the tile-ordered list of pixels still in play*, so a step gathers and
+  scatters nothing: each Gaussian parameter is read once per tile and
+  run-length expanded over the tile's rows, Eq. (1) runs through those
+  expanded rows in place, and Eq. (2) is applied to every entry with the
+  alpha of dead or below-cutoff entries set to 0 (``x + 0.0`` and
+  ``x * 1.0`` are exact).  Pixels that early-exit, and tiles whose list
+  ran out, stay in the arrays masked until the live fraction falls
+  below ``_COMPACT_BELOW``; only then are their colours written out and
+  the state compressed.  Every entry that does blend sees the
+  operations of :func:`repro.raster.blend.blend_tile` in its order, so
+  images are **bit-identical** to it and the early-exit, cutoff and
   counter semantics are all reproduced exactly.
 
 Python-level work drops from O(sum of list lengths) iterations to
-O(longest list) iterations per frame.
+O(longest list) iterations per frame, each a fixed number of
+contiguous elementwise passes.
 """
 
 from __future__ import annotations
@@ -116,6 +126,13 @@ def sort_groups_batched(
     )
 
 
+#: Live fraction of the blend state below which it is compacted.  Dead
+#: and finished pixels ride along masked until then: a compaction is one
+#: boolean compress of every state array, which costs more than several
+#: steps of masked arithmetic over the same entries.
+_COMPACT_BELOW = 0.8
+
+
 def blend_tiles_batched(
     proj: ProjectedGaussians,
     grid: TileGrid,
@@ -145,7 +162,13 @@ def blend_tiles_batched(
         Optional counter sink; raster counters and ``per_tile_alpha``
         match the sequential path exactly.
     """
+    tile_ids = np.asarray(tile_ids, dtype=np.int64)
     num_tiles = len(tile_lists)
+    if tile_ids.shape != (num_tiles,):
+        raise ValueError(
+            f"tile_ids {tile_ids.shape} and tile_lists ({num_tiles}) "
+            "must be aligned"
+        )
     if num_tiles == 0:
         return
     lengths = np.fromiter(
@@ -153,103 +176,158 @@ def blend_tiles_batched(
     )
     if np.any(lengths == 0):
         raise ValueError("tile_lists must be non-empty (drop empty tiles)")
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    list_end = np.cumsum(lengths)
+    list_start = list_end - lengths
     flat_lists = np.concatenate(tile_lists)
 
-    # Flattened pixel blocks of every tile, with a tile-slot index per
-    # pixel and the rect for scattering results back into the image.
-    xs: "list[np.ndarray]" = []
-    ys: "list[np.ndarray]" = []
-    rects: "list[tuple[int, int, int, int]]" = []
-    sizes = np.empty(num_tiles, dtype=np.int64)
-    for t, tile_id in enumerate(tile_ids):
-        px, py = grid.tile_pixels(int(tile_id))
-        xs.append(px.ravel())
-        ys.append(py.ravel())
-        sizes[t] = px.size
-        x0, y0, x1, y1 = (int(v) for v in grid.tile_rect(int(tile_id)))
-        rects.append((x0, y0, x1, y1))
-    flat_x = np.concatenate(xs)
-    flat_y = np.concatenate(ys)
-    pixel_tile = np.repeat(np.arange(num_tiles, dtype=np.int64), sizes)
-    num_pixels = flat_x.shape[0]
+    # Every tile's pixel block, row-major inside the tile and tiles in
+    # call order, from rect arithmetic alone.
+    rects = grid.tile_rects(tile_ids).astype(np.int64)
+    widths = rects[:, 2] - rects[:, 0]
+    sizes = widths * (rects[:, 3] - rects[:, 1])
+    num_pixels = int(sizes.sum())
+    local = np.arange(num_pixels) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_width = np.repeat(widths, sizes)
+    ix = np.repeat(rects[:, 0], sizes) + local % row_width
+    iy = np.repeat(rects[:, 1], sizes) + local // row_width
 
-    color = np.zeros((num_pixels, 3), dtype=np.float64)
-    transmittance = np.ones(num_pixels, dtype=np.float64)
-    alive = np.ones(num_pixels, dtype=bool)
-    alive_count = sizes.copy()
-    alpha_per_tile = np.zeros(num_tiles, dtype=np.int64)
-
-    means2d = proj.means2d
-    conics = proj.conics
-    opacities = proj.opacities
-    colors = proj.colors
-
-    # Candidate pixels: alive and in a tile that still has Gaussians.
-    # Both conditions are monotone (pixels only die, tiles only finish),
-    # so the set shrinks to exactly the pixels touched last step — this
-    # keeps each iteration O(live pixels) instead of O(all pixels), which
-    # matters when one long tile list outlives the rest of the frame.
-    candidates = np.arange(num_pixels, dtype=np.int64)
-
-    for j in range(int(lengths.max())):
-        # A tile is active while it still has Gaussians *and* live
-        # pixels — the latter is the sequential loop's early break.
-        tile_active = (lengths > j) & (alive_count > 0)
-        active_slots = np.flatnonzero(tile_active)
-        if active_slots.size == 0:
-            break
-        alpha_per_tile[active_slots] += alive_count[active_slots]
-
-        gid_of_tile = np.zeros(num_tiles, dtype=np.int64)
-        gid_of_tile[active_slots] = flat_lists[starts[active_slots] + j]
-        pix = candidates[
-            alive[candidates] & tile_active[pixel_tile[candidates]]
+    # One contiguous column per Eq. (1)/(2) parameter, so a step reads
+    # each at the tiles' current Gaussian and run-length expands it.
+    params = np.stack(
+        [
+            proj.means2d[:, 0],
+            proj.means2d[:, 1],
+            proj.conics[:, 0],
+            2.0 * proj.conics[:, 1],
+            proj.conics[:, 2],
+            proj.opacities,
+            proj.colors[:, 0],
+            proj.colors[:, 1],
+            proj.colors[:, 2],
         ]
-        candidates = pix
-        pg = gid_of_tile[pixel_tile[pix]]
+    )
 
-        # Eq. (1), elementwise-identical to compute_alpha on each tile's
-        # live pixels.
-        dx = flat_x[pix] - means2d[pg, 0]
-        dy = flat_y[pix] - means2d[pg, 1]
-        a_ = conics[pg, 0]
-        b_ = conics[pg, 1]
-        c_ = conics[pg, 2]
-        power = -0.5 * (a_ * dx * dx + 2.0 * b_ * dx * dy + c_ * dy * dy)
-        power = np.minimum(power, 0.0)
-        alphas = np.minimum(opacities[pg] * np.exp(power), MAX_ALPHA)
+    # Blend state, aligned with the tile-ordered list of pixels still in
+    # play (plus the dead ones awaiting compaction).  ``origin`` maps an
+    # entry back to its pixel; ``alive`` is False once a pixel
+    # early-exited or its tile's list ran out.
+    x = ix + 0.5
+    y = iy + 0.5
+    transmittance = np.ones(num_pixels)
+    red = np.zeros(num_pixels)
+    green = np.zeros(num_pixels)
+    blue = np.zeros(num_pixels)
+    origin = np.arange(num_pixels)
+    alive = np.ones(num_pixels, dtype=bool)
+    significant = np.empty(num_pixels, dtype=bool)
 
-        significant = alphas >= ALPHA_CUTOFF
-        if stats is not None:
-            stats.raster.num_blend_operations += int(
-                np.count_nonzero(significant)
-            )
-        hit = pix[significant]
-        a = alphas[significant]
-        weight = transmittance[hit] * a
-        color[hit] += weight[:, None] * colors[pg[significant]]
-        transmittance[hit] *= 1.0 - a
+    # The tile slots with entries in the state, the rows each holds and
+    # where its run ends; rebuilt at every compaction.
+    alive_count = sizes.copy()
+    run_tiles = np.flatnonzero(alive_count)
+    run_rows = alive_count[run_tiles]
+    run_end = np.cumsum(run_rows)
+    run_of_tile = np.arange(num_tiles)
 
-        done = transmittance[hit] < EARLY_EXIT_TRANSMITTANCE
-        dying = hit[done]
+    alpha_per_tile = np.zeros(num_tiles, dtype=np.int64)
+    blend_operations = 0
+    early_exits = 0
+    live = held = num_pixels
+    by_length = np.argsort(lengths, kind="stable")
+    ending = zip(lengths[by_length].tolist(), by_length.tolist())
+    next_length, next_tile = next(ending)
+
+    step = 0
+    while live:
+        # A tile is charged its live pixels while it still has Gaussians
+        # and live pixels — the latter is the sequential early break.
+        alpha_per_tile[run_tiles] += alive_count[run_tiles]
+        gaussians = flat_lists[
+            np.minimum(list_start[run_tiles] + step, list_end[run_tiles] - 1)
+        ]
+        mx, my, ca, cb2, cc, opacity, cr, cg, cb = np.repeat(
+            params[:, gaussians], run_rows, axis=1
+        )
+
+        # Eq. (1), the operations of compute_alpha in its order, each
+        # into the expanded parameter row it no longer needs.
+        dx = np.subtract(x, mx, out=mx)
+        dy = np.subtract(y, my, out=my)
+        np.multiply(ca, dx, out=ca)
+        np.multiply(ca, dx, out=ca)
+        np.multiply(cb2, dx, out=cb2)
+        np.multiply(cb2, dy, out=cb2)
+        np.multiply(cc, dy, out=cc)
+        np.multiply(cc, dy, out=cc)
+        np.add(ca, cb2, out=ca)
+        np.add(ca, cc, out=ca)
+        np.multiply(ca, -0.5, out=ca)
+        np.minimum(ca, 0.0, out=ca)
+        np.exp(ca, out=ca)
+        np.multiply(opacity, ca, out=ca)
+        alphas = np.minimum(ca, MAX_ALPHA, out=ca)
+
+        hit = np.greater_equal(alphas, ALPHA_CUTOFF, out=significant[:held])
+        np.logical_and(hit, alive, out=hit)
+        blend_operations += int(np.count_nonzero(hit))
+
+        # Eq. (2) without gather or scatter: an entry that is dead or
+        # below the cutoff blends alpha 0, and x + 0.0 == x, x * 1.0 == x
+        # exactly, so the others see blend_tile's operations unchanged.
+        np.multiply(alphas, hit, out=alphas)
+        w = np.multiply(transmittance, alphas, out=opacity)
+        red += np.multiply(w, cr, out=cr)
+        green += np.multiply(w, cg, out=cg)
+        blue += np.multiply(w, cb, out=cb)
+        transmittance *= np.subtract(1.0, alphas, out=alphas)
+
+        done = np.less(transmittance, EARLY_EXIT_TRANSMITTANCE, out=hit)
+        np.logical_and(done, alive, out=done)
+        dying = np.flatnonzero(done)
         if dying.size:
             alive[dying] = False
-            alive_count -= np.bincount(
-                pixel_tile[dying], minlength=num_tiles
+            early_exits += dying.size
+            live -= dying.size
+            alive_count[run_tiles] -= np.bincount(
+                np.searchsorted(run_end, dying, side="right"),
+                minlength=run_tiles.size,
             )
+
+        # Tiles whose list ends here leave play with whatever still lives.
+        step += 1
+        while next_length == step:
+            if alive_count[next_tile]:
+                run = run_of_tile[next_tile]
+                alive[run_end[run] - run_rows[run] : run_end[run]] = False
+                live -= int(alive_count[next_tile])
+                alive_count[next_tile] = 0
+            next_length, next_tile = next(ending, (0, 0))  # 0: none left
+
+        if live < _COMPACT_BELOW * held:
+            dead = ~alive
+            gone = origin[dead]
+            image[iy[gone], ix[gone]] = np.stack(
+                [red[dead], green[dead], blue[dead]], axis=1
+            )
+            x, y, transmittance, red, green, blue, origin = (
+                column[alive]
+                for column in (x, y, transmittance, red, green, blue, origin)
+            )
+            held = live
+            alive = np.ones(held, dtype=bool)
+            run_tiles = np.flatnonzero(alive_count)
+            run_rows = alive_count[run_tiles]
+            run_end = np.cumsum(run_rows)
+            run_of_tile[run_tiles] = np.arange(run_tiles.size)
+
+    image[iy[origin], ix[origin]] = np.stack([red, green, blue], axis=1)
 
     if stats is not None:
         stats.raster.num_alpha_computations += int(alpha_per_tile.sum())
+        stats.raster.num_blend_operations += blend_operations
         stats.raster.num_pixels += num_pixels
         stats.raster.num_tile_passes += int(lengths.sum())
-        stats.raster.num_early_exit_pixels += int(np.count_nonzero(~alive))
-        for t, tile_id in enumerate(tile_ids):
-            stats.per_tile_alpha[int(tile_id)] = int(alpha_per_tile[t])
-
-    offset = 0
-    for t, (x0, y0, x1, y1) in enumerate(rects):
-        h = y1 - y0
-        w = x1 - x0
-        image[y0:y1, x0:x1] = color[offset : offset + h * w].reshape(h, w, 3)
-        offset += h * w
+        stats.raster.num_early_exit_pixels += early_exits
+        stats.per_tile_alpha.update(
+            zip(tile_ids.tolist(), alpha_per_tile.tolist())
+        )

@@ -182,6 +182,10 @@ def _pair_overlap_ellipse(
     return inside | (dist2 <= 1.0)
 
 
+#: Pairs per evaluation of the ellipse test inside :func:`pair_rect_hits`.
+_ELLIPSE_BLOCK = 4096
+
+
 def pair_rect_hits(
     proj: ProjectedGaussians,
     pair_ids: np.ndarray,
@@ -221,7 +225,16 @@ def pair_rect_hits(
     if method is BoundaryMethod.OBB:
         return _pair_overlap_obb(proj, pair_ids, rects)
     if method is BoundaryMethod.ELLIPSE:
-        return _pair_overlap_ellipse(proj, pair_ids, rects)
+        # In blocks: the test's (k, 4, 2) temporaries are ~1 KiB a pair.
+        # Every pair's whitening product is a matmul of its own, so
+        # blocking cannot change a result.
+        hits = np.empty(pair_ids.shape[0], dtype=bool)
+        for start in range(0, pair_ids.shape[0], _ELLIPSE_BLOCK):
+            block = slice(start, start + _ELLIPSE_BLOCK)
+            hits[block] = _pair_overlap_ellipse(
+                proj, pair_ids[block], rects[block]
+            )
+        return hits
     raise ValueError(f"unknown boundary method: {method!r}")
 
 

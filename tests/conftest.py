@@ -9,11 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.cloud import GaussianCloud
-from repro.gaussians.projection import project
+from repro.gaussians.culling import CullingResult
+from repro.gaussians.projection import (
+    SIGMA_EXTENT,
+    ProjectedGaussians,
+    _eigendecompose_2x2,
+    project,
+)
 from repro.gaussians.rotation import random_unit_quaternions
+
+# Tier-1 is reproducible: every property test draws the same examples on
+# every run, so `pytest -x` stops at a real regression, never at a draw.
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 def make_cloud(
@@ -42,6 +54,51 @@ def make_cloud(
         rotations=random_unit_quaternions(n, rng),
         opacities=rng.uniform(*opacity_range, n),
         sh_coeffs=rng.normal(0.0, 0.4, size=(n, k, 3)),
+    )
+
+
+def make_projected(
+    means2d: np.ndarray,
+    sigmas: np.ndarray,
+    angles: np.ndarray,
+    opacities: np.ndarray,
+    colors: np.ndarray,
+    depths: np.ndarray,
+) -> ProjectedGaussians:
+    """Screen-space Gaussians placed directly, with no camera in between.
+
+    ``sigmas`` are the (m, 2) one-sigma half-axes in pixels and
+    ``angles`` the rotation of the first axis, so a test can put a
+    footprint exactly where it wants it: with angle 0 and power-of-two
+    sigmas every derived quantity (covariance, 3-sigma extents, bounding
+    rectangles) is exact in floating point.
+    """
+    means2d = np.asarray(means2d, dtype=np.float64)
+    m = means2d.shape[0]
+    cos, sin = np.cos(angles), np.sin(angles)
+    rot = np.empty((m, 2, 2))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = cos, -sin, sin, cos
+    var = np.asarray(sigmas, dtype=np.float64) ** 2
+    cov2d = (rot * var[:, None, :]) @ np.transpose(rot, (0, 2, 1))
+    cov2d[:, 1, 0] = cov2d[:, 0, 1]
+    det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
+    conics = np.stack(
+        [cov2d[:, 1, 1] / det, -cov2d[:, 0, 1] / det, cov2d[:, 0, 0] / det],
+        axis=1,
+    )
+    eigvals, eigvecs = _eigendecompose_2x2(cov2d)
+    return ProjectedGaussians(
+        indices=np.arange(m),
+        depths=np.asarray(depths, dtype=np.float64),
+        means2d=means2d,
+        cov2d=cov2d,
+        conics=conics,
+        colors=np.asarray(colors, dtype=np.float64),
+        opacities=np.asarray(opacities, dtype=np.float64),
+        eigvals=eigvals,
+        eigvecs=eigvecs,
+        radii=SIGMA_EXTENT * np.sqrt(eigvals[:, 0]),
+        culling=CullingResult(np.ones(m, dtype=bool), m, 0, 0, 0),
     )
 
 

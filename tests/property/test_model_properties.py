@@ -1,7 +1,7 @@
 """Property-based tests on the performance models and compression."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compress.quantization import _quantize_array
@@ -24,27 +24,66 @@ def unit_lists(draw):
     ]
 
 
+def _drain_bounds(units, cores):
+    """``(floor, ceiling)`` no schedule of ``units`` on ``cores`` can leave.
+
+    Ceiling: fully serial execution of everything.  Floors: the shared
+    DRAM channel, the per-core sort and rm stages at perfect balance,
+    and the single largest unit's critical path.
+    """
+    ceiling = sum(sum(u) for u in units)
+    floor = max(
+        sum(u[0] for u in units),
+        sum(u[1] for u in units) / cores,
+        sum(u[2] for u in units) / cores,
+        max(sum(u) for u in units),
+    )
+    return floor, ceiling
+
+
+#: Hypothesis's counterexample to "more cores are never slower" (1309
+#: cycles on 8 cores, 1308 on 2): greedy in-order dispatch onto one DRAM
+#: channel is a list scheduler, and list schedulers have Graham anomalies
+#: — by dispatched work the least-loaded of 8 cores for the 1-cycle sort
+#: is the one still behind the 982-cycle fetch, so it queues there; with
+#: 2 cores it lands on the other core.
+_GRAHAM_ANOMALY = [
+    [0.0, 0.0, 327.0],
+    [0.0, 0.0, 327.0],
+    [0.0, 0.0, 327.0],
+    [0.0, 1.0, 0.0],
+    [982.0, 326.0, 0.0],
+    [0.0, 0.0, 329.0],
+    [0.0, 0.0, 0.0],
+    [0.0, 0.0, 327.0],
+    [0.0, 0.0, 327.0],
+    [0.0, 0.0, 327.0],
+]
+
+
 class TestSchedulerProperties:
     @given(unit_lists(), st.integers(1, 8))
     @settings(max_examples=100)
     def test_bounded_by_sum_and_stage_busy(self, units, cores):
         total = _schedule(units, cores)
-        # Upper bound: fully serial execution of everything.
-        serial = sum(sum(u) for u in units)
-        assert total <= serial + 1e-6
-        # Lower bounds: the shared DRAM channel and the widest per-core
-        # stage cannot be beaten.
-        fetch_total = sum(u[0] for u in units)
-        rm_total = sum(u[2] for u in units)
-        assert total >= fetch_total - 1e-6
-        assert total >= rm_total / cores - 1e-6
-        # And never less than the single largest unit's critical path.
-        assert total >= max(sum(u) for u in units) - 1e-6
+        floor, ceiling = _drain_bounds(units, cores)
+        assert floor - 1e-6 <= total <= ceiling + 1e-6
 
     @given(unit_lists())
+    @example(_GRAHAM_ANOMALY)
     @settings(max_examples=100)
-    def test_more_cores_never_slower(self, units):
-        assert _schedule(units, 8) <= _schedule(units, 2) + 1e-6
+    def test_more_cores_at_most_five_times_slower(self, units):
+        # What the dispatcher does guarantee.  Any core count drains
+        # within the serial ceiling F + S + R, and two cores need at
+        # least max(F, S/2, R/2): so 8 cores <= F + S + R <= 5x 2 cores.
+        few = _schedule(units, 2)
+        many = _schedule(units, 8)
+        floor_few, ceiling = _drain_bounds(units, 2)
+        floor_many, _ = _drain_bounds(units, 8)
+        assert floor_many <= floor_few
+        assert floor_many - 1e-6 <= many <= ceiling + 1e-6
+        assert floor_few - 1e-6 <= few
+        assert many <= 5.0 * few + 1e-6
 
 
 class TestSortingProperties:
