@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import socket
 import time
 from dataclasses import asdict, dataclass
 from urllib.parse import parse_qsl, urlsplit
@@ -95,6 +96,38 @@ from repro.cluster.topology import BackendSpec, ClusterMap
 
 class LinkLostError(ConnectionError):
     """A backend connection died under an in-flight request."""
+
+
+#: Receive buffer asked of the kernel for a backend link, in bytes.  One
+#: link carries every client's streams to that backend, and a cached
+#: stream reaches it as a burst (24 frames of 400 KB within a few ms).
+#: Whatever of stream A does not fit between the two processes when
+#: stream B's request lands is interleaved with B frame by frame, which
+#: doubles those frames' gaps for both clients; and how much fits is
+#: otherwise wherever receive autotuning happens to stop (3 to 33 MB
+#: seen from one run to the next).  A fixed buffer that holds a whole
+#: stream makes it the same every run.
+LINK_RCVBUF = 4 << 20
+
+
+def _pin_receive_buffer(sock: "socket.socket | None") -> None:
+    """Fix a link socket's receive buffer at :data:`LINK_RCVBUF`.
+
+    An explicit ``SO_RCVBUF`` switches the kernel's autotuning off for
+    that socket for good, so the request is tried on a throwaway socket
+    first: where the kernel grants less (``net.core.rmem_max``) the
+    link is left alone rather than pinned small.
+    """
+    if sock is None:
+        return
+    try:
+        with socket.socket(sock.family, sock.type) as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LINK_RCVBUF)
+            granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        if granted >= LINK_RCVBUF:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LINK_RCVBUF)
+    except OSError:
+        pass
 
 
 @dataclass
@@ -228,6 +261,7 @@ class BackendLink:
                     f"cannot connect to backend {self.spec.backend_id} at "
                     f"{self.spec.host}:{self.spec.port}: {exc}"
                 ) from exc
+            _pin_receive_buffer(writer.get_extra_info("socket"))
             try:
                 await asyncio.wait_for(
                     protocol.client_hello(reader, writer, self.auth_token),

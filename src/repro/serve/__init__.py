@@ -6,8 +6,11 @@ into a *service*: many concurrent clients, few engine renders.
 
 ::
 
-    clients ──> RenderService ──┬─ SharedRenderCache  (hit: zero work,
-      │            │            │   shared across processes & sweeps)
+    clients ──> RenderService ──┬─ SharedRenderCache  (stored wire-ready:
+      │            │            │   bytes + digest + stats JSON; a repeat
+      │            │            │   hit is a lookup in this process's memo
+      │            │            │   on the loop thread, a first hit one
+      │            │            │   executor hop to the shared index)
       │            │            └─ in-flight dedup    (join the pending
       │            ▼                                    render)
       │        MicroBatcher  — coalesce a scene's misses, flush at
@@ -41,9 +44,11 @@ into a *service*: many concurrent clients, few engine renders.
   retry-on-markdown and resume-from-first-undelivered streams, the
   client shape for talking to a :mod:`repro.cluster` router.
 * :class:`SharedRenderCache` — finished frames + stats in shared
-  memory, keyed on ``(cloud, camera, renderer)`` content fingerprints;
-  also pluggable into ``RenderEngine.render_trajectory`` /
-  ``run_multiview`` / the figure sweeps as ``render_store``.
+  memory, keyed on ``(cloud, camera, renderer)`` content fingerprints,
+  each stored with the FRAME parts a hit needs (blob digest, stats wire
+  JSON) so serving one hashes and serialises nothing; also pluggable
+  into ``RenderEngine.render_trajectory`` / ``run_multiview`` / the
+  figure sweeps as ``render_store``.
 * :func:`run_clients` / :func:`naive_render_seconds` — the load
   generator and its no-serving-layer baseline.
 * :func:`verify_streamed_images` — the single implementation of the

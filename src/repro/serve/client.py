@@ -150,6 +150,17 @@ def _remaining_ms(deadline: "float | None") -> "float | None":
     return remaining * 1e3
 
 
+#: ``StreamReader`` limit of an :class:`AsyncGatewayClient` connection.
+#: A FRAME is some 400 KB.  Under asyncio's 64 KiB default the transport
+#: stops reading at 128 KiB buffered and is restarted by the reader two
+#: or three times *per frame*; the socket then drains in fits, and where
+#: the kernel's receive-buffer autotuning ends up (3 to 33 MB seen) — and
+#: with it how often the server's write blocks — differs from run to
+#: run.  With room for a few frames the transport never pauses, and the
+#: buffer grows to its ceiling every time.
+READ_LIMIT = 1 << 20
+
+
 class AsyncGatewayClient:
     """Asyncio protocol client for a :class:`RenderGateway`.
 
@@ -206,7 +217,7 @@ class AsyncGatewayClient:
         """
         client = cls(host, port, auth_token=auth_token)
         client._reader, client._writer = await asyncio.open_connection(
-            host, port
+            host, port, limit=READ_LIMIT
         )
         try:
             client.hello = await protocol.client_hello(

@@ -71,7 +71,6 @@ examples, and ``docs/robustness.md`` for the failure model.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -1319,7 +1318,7 @@ class RenderGateway:
 
 def _frame_record(name: str, view: int, result) -> dict:
     """The JSON shape of one served frame (``/render`` and ``/stream``)."""
-    image = np.ascontiguousarray(result.image)
+    image = result.image
     return {
         "scene": name,
         "view": view,
@@ -1328,8 +1327,8 @@ def _frame_record(name: str, view: int, result) -> dict:
         "dtype": image.dtype.str,
         # Raw float bytes, not the 8-bit PPM: equal to the sha256 of a
         # direct RenderEngine.render — the bit-identity check from a
-        # shell.
-        "image_sha256": hashlib.sha256(image.tobytes()).hexdigest(),
+        # shell.  The service's results carry it; nothing is re-hashed.
+        "image_sha256": protocol.wire_result(result).digest,
         "num_pairs": int(result.stats.preprocess.num_pairs),
         "alpha_ops": int(result.stats.raster.num_alpha_computations),
     }

@@ -106,6 +106,7 @@ import struct
 import time
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -209,9 +210,18 @@ def encode_frame(
     msg_type: MessageType, header: "dict | None" = None, blob: bytes = b""
 ) -> bytes:
     """Serialise one frame to wire bytes (prefix + type + header + blob)."""
-    header_bytes = json.dumps(
-        header or {}, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return _frame_bytes(msg_type, _dumps(header or {}).encode("utf-8"), blob)
+
+
+def _dumps(value) -> str:
+    """The wire's JSON dialect: compact separators, NaN/inf refused."""
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+def _frame_bytes(
+    msg_type: MessageType, header_bytes: bytes, blob: "bytes | memoryview"
+) -> bytes:
+    """Frame an already-serialised JSON header and its blob."""
     payload_len = _HEAD.size + len(header_bytes) + len(blob)
     if payload_len > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -651,6 +661,52 @@ def verify_frame_checksum(frame: Frame) -> None:
         )
 
 
+class WireResult(RenderResult):
+    """A :class:`RenderResult` that remembers its FRAME parts.
+
+    ``blob`` (the image's raw bytes), ``digest`` (the blob's sha256 hex)
+    and ``stats_json`` (the stats' wire JSON) are each computed at most
+    once per result — on first use, or never when whoever built the
+    result already had them (:class:`~repro.serve.render_cache.
+    SharedRenderCache` stores all three at ``put`` and hands hits back
+    with them filled in, ``blob`` as a view of the shared pages).
+    Everything that needs a frame's digest or bytes — the FRAME
+    encoder, trace spans, the HTTP JSON record — reads them here, so a
+    frame is hashed once per process, not once per consumer.
+    """
+
+    @cached_property
+    def blob(self) -> "bytes | memoryview":
+        return np.ascontiguousarray(self.image).tobytes()
+
+    @cached_property
+    def digest(self) -> str:
+        return blob_digest(self.blob)
+
+    @cached_property
+    def stats_json(self) -> str:
+        return _dumps(encode_stats(self.stats))
+
+    def __getstate__(self) -> dict:
+        # A hit's blob views another process's mapping; the image
+        # pickles by value and the blob is recomputed on demand.
+        state = dict(self.__dict__)
+        state.pop("blob", None)
+        return state
+
+
+def wire_result(result: RenderResult) -> WireResult:
+    """``result`` as a :class:`WireResult` (itself when it already is one)."""
+    if isinstance(result, WireResult):
+        return result
+    return WireResult(
+        image=result.image,
+        stats=result.stats,
+        projected=result.projected,
+        assignment=result.assignment,
+    )
+
+
 def encode_result_frame(
     request_id: int,
     index: int,
@@ -674,22 +730,32 @@ def encode_result_frame(
     byte-identical); ``trace`` echoes the *requester's* trace id back —
     pass it only when the request carried one, never a server-minted
     id.
+
+    The header is assembled from the result's :class:`WireResult` parts
+    — the per-frame constants (stats JSON, digest, blob) a cache hit
+    already carries — around the per-request fields, in the fixed key
+    order ``request_id, index, image, stats[, backend][, trace]
+    [, sha256]``: the same bytes ``json.dumps`` of the whole header
+    would give, without re-serialising what cannot have changed.
     """
-    image = np.ascontiguousarray(result.image)
-    blob = image.tobytes()
-    header = {
-        "request_id": request_id,
-        "index": index,
-        "image": {"dtype": image.dtype.str, "shape": list(image.shape)},
-        "stats": encode_stats(result.stats),
-    }
+    wire = wire_result(result)
+    image = wire.image
+    parts = [
+        '{"request_id":', _dumps(request_id),
+        ',"index":', _dumps(index),
+        ',"image":', _dumps({"dtype": image.dtype.str, "shape": list(image.shape)}),
+        ',"stats":', wire.stats_json,
+    ]
     if backend is not None:
-        header["backend"] = backend
+        parts += (',"backend":', _dumps(backend))
     if trace is not None:
-        header["trace"] = trace
+        parts += (',"trace":', _dumps(trace))
     if checksum:
-        header["sha256"] = blob_digest(blob)
-    return encode_frame(MessageType.FRAME, header, blob)
+        parts += (',"sha256":"', wire.digest, '"')
+    parts.append("}")
+    return _frame_bytes(
+        MessageType.FRAME, "".join(parts).encode("utf-8"), wire.blob
+    )
 
 
 def decode_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":

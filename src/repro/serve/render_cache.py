@@ -18,6 +18,14 @@ read-only view over the shared pages (raw bytes, bit-identical to the
 original render) and the stats via a pickle round trip (exact for every
 counter, including floats).
 
+A frame is stored *wire-ready*: beside the image and the pickled stats
+the segment holds the stats' wire JSON, and the index entry the blob's
+sha256, both computed once at ``put``.  A hit is a
+:class:`repro.serve.protocol.WireResult` carrying them, so encoding it
+as a FRAME hashes and serialises nothing; and each process memoises the
+hits it has loaded, so a repeat hit costs no IPC at all
+(:meth:`SharedRenderCache.lookup`).
+
 Served results carry ``projected=None`` / ``assignment=None`` — the
 same contract as frames returned from ``render_trajectory`` worker
 processes: those arrays are per-frame O(cloud) and no batch consumer
@@ -33,8 +41,11 @@ to unlink everything deterministically.  Like the projection cache, a
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 import weakref
+from collections import OrderedDict
 from multiprocessing import Manager, resource_tracker, shared_memory
 
 import numpy as np
@@ -48,7 +59,7 @@ from repro.experiments.shm_cache import (
 from repro.gaussians.camera import Camera
 from repro.gaussians.cloud import GaussianCloud
 from repro.raster.renderer import RenderResult
-from repro.raster.stats import RenderStats
+from repro.serve.protocol import WireResult, wire_result
 from repro.tiles.boundary import BoundaryMethod
 
 
@@ -80,6 +91,136 @@ def render_key(cloud: GaussianCloud, camera: Camera, renderer) -> "tuple":
     return (cloud_fingerprint(cloud), camera_key(camera), renderer_key(renderer))
 
 
+def _load(segment: shared_memory.SharedMemory, entry: tuple) -> WireResult:
+    """Rebuild a hit over a segment: zero-copy image and blob views,
+    stats via a pickle round trip, digest and stats JSON as stored."""
+    _, dtype_str, shape, image_end, pickle_end, json_end, digest = entry
+    blob = segment.buf[:image_end]
+    image = np.frombuffer(blob, dtype=np.dtype(dtype_str)).reshape(shape)
+    image.flags.writeable = False
+    hit = WireResult(
+        image=image,
+        stats=pickle.loads(segment.buf[image_end:pickle_end]),
+        projected=None,
+        assignment=None,
+    )
+    hit.blob = blob.toreadonly()
+    hit.digest = digest
+    hit.stats_json = str(segment.buf[pickle_end:json_end], "utf-8")
+    return hit
+
+
+#: Every live memo, so a forked child can reset the ones it inherited.
+_LIVE_MEMOS: "weakref.WeakSet[_Memo]" = weakref.WeakSet()
+
+
+class _Memo:
+    """One process's loaded hits: ``key -> (hit, segment handle)``.
+
+    Least recently used first, bounded by ``max_entries``; a segment
+    stays mapped exactly as long as its entry stays here (or a caller
+    still holds the frame).  ``get``/``put`` run on executor threads
+    while the service looks hits up on the loop thread, so every access
+    takes ``lock``.
+    """
+
+    def __init__(self, max_entries: "int | None") -> None:
+        self.max_entries = max_entries
+        self.entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self.lock = threading.Lock()
+        #: Hits served here and not yet folded into the shared counter.
+        self.hits = 0
+        #: Dropped segments whose frames a caller still holds; closing
+        #: is retried whenever the memo next lets something go.
+        self.lingering: "list[shared_memory.SharedMemory]" = []
+        _LIVE_MEMOS.add(self)
+
+    def after_fork(self) -> None:
+        """In a forked child: the parent's unfolded hits are the
+        parent's to report, and its lock may have been held mid-fork."""
+        self.lock = threading.Lock()
+        self.hits = 0
+
+    def hit(self, key) -> "WireResult | None":
+        with self.lock:
+            found = self.entries.get(key)
+            if found is None:
+                return None
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return found[0]
+
+    def take_hits(self) -> int:
+        with self.lock:
+            hits, self.hits = self.hits, 0
+            return hits
+
+    def remember(self, key, hit: WireResult, segment) -> WireResult:
+        """Keep ``hit`` (the first one wins a race) and trim to size."""
+        with self.lock:
+            kept = self.entries.setdefault(key, (hit, segment))
+            self.entries.move_to_end(key)
+            dropped = [] if kept[1] is segment else [segment]
+            while (
+                self.max_entries is not None
+                and len(self.entries) > self.max_entries
+            ):
+                dropped.append(self.entries.popitem(last=False)[1][1])
+            self._close(dropped)
+            return kept[0]
+
+    def forget(self, key) -> "shared_memory.SharedMemory | None":
+        """Drop one entry; its handle is the caller's to :meth:`release`."""
+        with self.lock:
+            found = self.entries.pop(key, None)
+            return None if found is None else found[1]
+
+    def release(self, segment: shared_memory.SharedMemory) -> None:
+        with self.lock:
+            self._close([segment])
+
+    def _close(self, segments: list) -> None:
+        """Close handles nothing views any more; keep the rest for later."""
+        waiting = []
+        for segment in self.lingering + segments:
+            try:
+                segment.close()
+            except BufferError:
+                waiting.append(segment)
+        self.lingering = waiting
+
+    def clear(self) -> None:
+        """Drop every frame, then every handle (the frames view them)."""
+        with self.lock:
+            segments = [segment for _, segment in self.entries.values()]
+            self.entries.clear()
+            self._close(segments)
+            for segment in self.lingering:
+                _release(segment)  # still viewed by a caller: pin it
+            self.lingering = []
+
+
+def _reset_memos_after_fork() -> None:
+    for memo in list(_LIVE_MEMOS):
+        memo.after_fork()
+
+
+os.register_at_fork(after_in_child=_reset_memos_after_fork)
+
+
+def _teardown(memo: _Memo, owner_pid: int, manager, index, order) -> None:
+    """The owner's ``close()`` and its gc / interpreter-exit fallback.
+
+    ``self``-free so :func:`weakref.finalize` can hold it.  The memo
+    goes first: its frames view the segments ``_teardown_owner`` is
+    about to unlink and close.  A forked copy of the owner drops its
+    own mappings and leaves the shared state to the real owner.
+    """
+    memo.clear()
+    if os.getpid() == owner_pid:
+        _teardown_owner(manager, index, order, {})
+
+
 class SharedRenderCache:
     """A shared-memory cache of finished frames and their statistics.
 
@@ -88,13 +229,28 @@ class SharedRenderCache:
     max_entries:
         Bound on cached renders; the oldest entry (and its shared
         segment) is evicted first.  ``None`` (default) disables eviction
-        — call :meth:`close` to release everything.
+        — call :meth:`close` to release everything.  The same number
+        bounds each process's memo of loaded hits (least recently used
+        first), and with it the segments that process keeps mapped.
 
     Notes
     -----
     Instances are picklable: worker processes receive proxies to the
     same index, so a render one worker publishes is a hit everywhere.
     :meth:`stats` aggregates hit/miss/store counts across every process.
+
+    A frame is made *wire-ready when it is stored*: one segment holds
+    the image bytes, the pickled stats and the stats' wire JSON, and the
+    index entry carries the blob's sha256.  A hit comes back as a
+    :class:`~repro.serve.protocol.WireResult` with all of them filled
+    in, and each process keeps the hits it has loaded in a memo in
+    front of the manager index — a repeat hit is a dict lookup, no IPC
+    (:meth:`lookup`).  Memo hits are counted locally and folded
+    into the shared ``hits`` counter on this process's next manager
+    round trip (a ``get`` that misses the memo, ``put``, ``stats()``,
+    ``close()``), so a *remote* reader of :meth:`stats` may lag by the
+    hits other processes have not folded yet; a process's own view is
+    always exact.
     """
 
     def __init__(self, max_entries: "int | None" = None) -> None:
@@ -110,16 +266,19 @@ class SharedRenderCache:
         self._order = self._manager.list()
         self._counters = self._manager.dict({"hits": 0, "misses": 0, "stores": 0})
         self._lock = self._manager.Lock()
-        self._owner = True
-        self._attached: "dict[str, shared_memory.SharedMemory]" = {}
+        # Ownership is per process: a forked copy of this object must
+        # not tear down what the creating process still serves.
+        self._owner_pid: "int | None" = os.getpid()
+        self._memo = _Memo(max_entries)
         self._closed = False
         self._finalizer = weakref.finalize(
             self,
-            _teardown_owner,
+            _teardown,
+            self._memo,
+            self._owner_pid,
             self._manager,
             self._index,
             self._order,
-            self._attached,
         )
 
     # -- pickling: workers get proxies, never the manager itself --------
@@ -139,80 +298,89 @@ class SharedRenderCache:
         self._counters = state["_counters"]
         self._lock = state["_lock"]
         self._manager = None
-        self._owner = False
-        self._attached = {}
+        self._owner_pid = None
+        self._memo = _Memo(self.max_entries)
         self._closed = False
         self._finalizer = None
 
     # -- storage --------------------------------------------------------
     @staticmethod
-    def _store(result: RenderResult) -> "tuple[str, str, tuple, int]":
-        """Copy a result's image + pickled stats into one new segment."""
-        image = np.ascontiguousarray(result.image)
-        stats_blob = pickle.dumps(result.stats, protocol=pickle.HIGHEST_PROTOCOL)
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(image.nbytes + len(stats_blob), 1)
-        )
-        segment.buf[: image.nbytes] = image.tobytes()
-        segment.buf[image.nbytes : image.nbytes + len(stats_blob)] = stats_blob
+    def _store(wire: WireResult) -> tuple:
+        """Copy a result's wire-ready parts into one new segment.
+
+        Layout: image bytes | stats pickle | stats wire JSON.  Returns
+        the index entry — segment name first, then what a reader needs
+        to slice the segment, then the blob digest.  The creating handle
+        is closed again: a process maps what it *reads*, so a pure
+        producer (a sweep worker, a gateway serving views nobody asks
+        for twice) holds no frame resident.
+        """
+        blob = wire.blob
+        stats_pickle = pickle.dumps(wire.stats, protocol=pickle.HIGHEST_PROTOCOL)
+        stats_json = wire.stats_json.encode("utf-8")
+        pickle_end = len(blob) + len(stats_pickle)
+        json_end = pickle_end + len(stats_json)
+        segment = shared_memory.SharedMemory(create=True, size=max(json_end, 1))
+        segment.buf[: len(blob)] = blob
+        segment.buf[len(blob) : pickle_end] = stats_pickle
+        segment.buf[pickle_end:json_end] = stats_json
         segment.close()
-        return segment.name, image.dtype.str, image.shape, image.nbytes
-
-    def _attach(self, name: str) -> shared_memory.SharedMemory:
-        """This process's handle to a segment, opened once and kept."""
-        segment = self._attached.get(name)
-        if segment is None:
-            segment = shared_memory.SharedMemory(name=name)
-            self._attached[name] = segment
-        return segment
-
-    def _load(self, entry: "tuple[str, str, tuple, int]") -> RenderResult:
-        """Rebuild a result: zero-copy image view + stats pickle round trip."""
-        name, dtype_str, shape, stats_offset = entry
-        segment = self._attach(name)
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        image = np.frombuffer(
-            segment.buf, dtype=dtype, count=count, offset=0
-        ).reshape(shape)
-        image.flags.writeable = False
-        stats: RenderStats = pickle.loads(bytes(segment.buf[stats_offset:]))
-        return RenderResult(
-            image=image, stats=stats, projected=None, assignment=None
+        image = wire.image
+        return (
+            segment.name,
+            image.dtype.str,
+            image.shape,
+            len(blob),
+            pickle_end,
+            json_end,
+            wire.digest,
         )
 
-    def _unlink(self, name: str) -> None:
-        """Release and unlink one segment (evicted or superseded)."""
-        segment = self._attached.pop(name, None)
-        if segment is None:
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                return
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-        _release(segment)
+    def _count(self, **deltas: int) -> None:
+        """Bump shared counters, folding in this process's memo hits.
+
+        Caller holds the manager lock.  One read and one write round
+        trip, however many counters move.
+        """
+        deltas["hits"] = deltas.get("hits", 0) + self._memo.take_hits()
+        moved = {name: delta for name, delta in deltas.items() if delta}
+        if moved:
+            counters = self._counters.copy()
+            self._counters.update(
+                {name: counters[name] + delta for name, delta in moved.items()}
+            )
 
     # -- the cache API --------------------------------------------------
+    def lookup(
+        self, cloud: GaussianCloud, camera: Camera, renderer
+    ) -> "RenderResult | None":
+        """This process's memo only: a frame it has loaded before, or
+        ``None``.  Never blocks on IPC — safe to call on an event loop.
+        ``None`` says nothing about the shared index; ask :meth:`get`.
+        """
+        return self._memo.hit(render_key(cloud, camera, renderer))
+
     def get(
         self, cloud: GaussianCloud, camera: Camera, renderer
     ) -> "RenderResult | None":
         """The shared render for this configuration, or None on a miss."""
         key = render_key(cloud, camera, renderer)
+        hit = self._memo.hit(key)
+        if hit is not None:
+            return hit
         entry = self._index.get(key)
         if entry is not None:
             try:
-                loaded = self._load(entry)
+                segment = shared_memory.SharedMemory(name=entry[0])
             except FileNotFoundError:
-                loaded = None
-            if loaded is not None:
+                segment = None
+            if segment is not None:
+                hit = self._memo.remember(key, _load(segment, entry), segment)
                 with self._lock:
-                    self._counters["hits"] = self._counters["hits"] + 1
-                return loaded
+                    self._count(hits=1)
+                return hit
         with self._lock:
-            self._counters["misses"] = self._counters["misses"] + 1
+            self._count(misses=1)
         return None
 
     def put(
@@ -224,28 +392,36 @@ class SharedRenderCache:
     ) -> None:
         """Publish a finished render for every process to reuse."""
         key = render_key(cloud, camera, renderer)
-        entry = self._store(result)
+        entry = self._store(wire_result(result))
         with self._lock:
-            existing = self._index.get(key)
-            if existing is not None and existing[0] != entry[0]:
+            if key in self._index:
                 # Another process raced us to the same render; both
                 # payloads are identical bytes (deterministic renderer),
                 # so keep theirs and drop our segment.
-                self._unlink(entry[0])
+                self._drop(entry[0])
                 return
-            self._counters["stores"] = self._counters["stores"] + 1
-            if (
-                existing is None
-                and self.max_entries is not None
-                and len(self._order) >= self.max_entries
-            ):
+            self._count(stores=1)
+            if self.max_entries is not None and len(self._order) >= self.max_entries:
                 oldest = self._order.pop(0)
                 stale = self._index.pop(oldest, None)
                 if stale is not None:
-                    self._unlink(stale[0])
+                    self._drop(stale[0], self._memo.forget(oldest))
             self._index[key] = entry
-            if existing is None:
-                self._order.append(key)
+            self._order.append(key)
+
+    def _drop(self, name: str, segment=None) -> None:
+        """Unlink a segment by name — through this process's handle when
+        it had one — and let the mapping go once nothing views it."""
+        if segment is None:
+            try:
+                segment = shared_memory.SharedMemory(name=name)
+            except FileNotFoundError:
+                return
+        try:
+            segment.unlink()
+        except FileNotFoundError:
+            pass
+        self._memo.release(segment)
 
     def render(self, engine, cloud: GaussianCloud, camera: Camera) -> RenderResult:
         """Serve from the cache, or render through ``engine`` and publish.
@@ -266,25 +442,30 @@ class SharedRenderCache:
 
     def stats(self) -> "dict[str, int]":
         """Cache-wide hit/miss/store counts across every process."""
-        return {
-            "hits": self._counters["hits"],
-            "misses": self._counters["misses"],
-            "stores": self._counters["stores"],
-        }
+        with self._lock:
+            self._count()
+            return self._counters.copy()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Unlink every segment and shut the manager down (owner only)."""
+        """Unlink every segment and shut the manager down (owner only).
+
+        Either way this process's memo goes first — its frames view the
+        segments, and a viewed mapping cannot be closed — and its
+        unfolded memo hits reach the shared counter.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._owner:
-            if self._finalizer is not None:
-                self._finalizer()
+        if self._owner_pid == os.getpid():
+            self._finalizer()
         else:
-            for segment in self._attached.values():
-                _release(segment)
-            self._attached.clear()
+            try:
+                with self._lock:
+                    self._count()
+            except (OSError, EOFError):
+                pass  # the owner (and its manager) went first
+            self._memo.clear()
 
     def __enter__(self) -> "SharedRenderCache":
         return self

@@ -48,13 +48,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import hashlib
-
 from repro.engine import RenderEngine
 from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
 from repro.gaussians.cloud import GaussianCloud
 from repro.raster.renderer import RenderResult
+from repro.serve.protocol import encode_camera, wire_result
 from repro.serve.render_cache import SharedRenderCache, render_key
 from repro.serve.scheduler import MicroBatcher
 from repro.trace.tracer import NULL_TRACER
@@ -278,17 +277,19 @@ class RenderService:
         trajectory = self.engine.render_trajectory(cloud, cameras, pool=pool)
         with self._stats_lock:
             self.stats.engine_renders += len(cameras)
+        # Wire-ready from here on: whatever the cache, a trace span and
+        # the FRAME encoder need of a frame (bytes, digest, stats JSON)
+        # is computed once and travels with the result.
+        results = [wire_result(result) for result in trajectory.results]
         if self.cache is not None:
-            for camera, result in zip(cameras, trajectory.results):
+            for camera, result in zip(cameras, results):
                 self.cache.put(cloud, camera, self.renderer, result)
         if tracer.enabled:
-            self._trace_batch(key, items, trajectory.results, batch_start)
-        return trajectory.results
+            self._trace_batch(key, items, results, batch_start)
+        return results
 
     def _trace_batch(self, key, items, results, batch_start: float) -> None:
         """Emit per-item ``batch``/``render`` spans for one flushed batch."""
-        from repro.serve.protocol import encode_camera
-
         tracer = self.tracer
         batch_end = tracer.now()
         batch_id = tracer.new_batch_id()
@@ -300,9 +301,6 @@ class RenderService:
                 continue
             trace_id, request_class, submitted = ctx
             camera = item[1]
-            sha = hashlib.sha256(
-                result.image.tobytes()
-            ).hexdigest()[:12]
             common = {
                 "batch": batch_id,
                 "occupancy": occupancy,
@@ -323,7 +321,7 @@ class RenderService:
                 attrs={
                     **common,
                     "class": request_class,
-                    "sha": sha,
+                    "sha": result.digest[:12],
                     "camera": encode_camera(camera),
                 },
             )
@@ -462,9 +460,16 @@ class RenderService:
             entry = self._inflight.get(key)
             if entry is None and self.cache is not None:
                 cache_span = tracer.span("cache", trace=trace)
-                hit = await loop.run_in_executor(
-                    None, self.cache.get, cloud, camera, self.renderer
-                )
+                # A frame this process has loaded before is a dict
+                # lookup away; only its first read of a key pays the
+                # executor hop and the manager round trips.
+                hit = self.cache.lookup(cloud, camera, self.renderer)
+                if hit is not None:
+                    cache_span.set("local", True)
+                else:
+                    hit = await loop.run_in_executor(
+                        None, self.cache.get, cloud, camera, self.renderer
+                    )
                 if hit is not None:
                     self.stats.cache_hits += 1
                     cache_span.set("hit", True)

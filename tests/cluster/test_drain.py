@@ -12,10 +12,12 @@ backend exits 0 after a clean drain.
 
 import asyncio
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosProxy, ChaosSchedule, Fault, FaultKind
 from repro.cluster import (
     BackendSpec,
     ClusterMap,
@@ -363,14 +365,21 @@ class TestFleetSigterm:
         """SIGTERM with a short ``--drain-grace`` while a stream is in
         flight: the grace expires (honestly reported via exit code 1),
         the router fails over, and the client sees every frame exactly
-        once."""
+        once.
+
+        The straddle is structural, not a race against how fast a
+        backend streams: the victim's link runs through a proxy that
+        goes silent a few frames in, for several times the grace, and
+        then drops.  However quickly the victim can produce frames, its
+        stream is stuck behind an unread socket — still in flight —
+        when the grace expires."""
         rng = np.random.default_rng(61)
         cloud = make_cloud(25, rng)
         base = [
             Camera(width=72, height=56, fx=66.0 + i, fy=66.0 + i)
             for i in range(8)
         ]
-        cameras = base * 48  # long enough to straddle the SIGTERM
+        cameras = base * 48  # ~37 MB: far more than socket buffers hold
         renderer = GSTGRenderer(16, 64, BoundaryMethod.ELLIPSE)
         engine = RenderEngine(renderer)
         reference = [engine.render(cloud, camera) for camera in base]
@@ -380,12 +389,35 @@ class TestFleetSigterm:
             extra_args=("--drain-grace", "0.2"),
         )
         specs = fleet.start()
+        # Placement hashes backend ids, not addresses, so the owner is
+        # known before the victim's address is swapped for the proxy's.
+        victim = ClusterMap(specs, replication=2).owner(
+            cloud_fingerprint(cloud)
+        ).backend_id
+        # Frames are ~98 KB: every link through the proxy relays four
+        # of them, then nothing for 1 s (the SIGTERM below lands at the
+        # start of that hold; the grace is 0.2 s), then resets.
+        schedule = ChaosSchedule(
+            default=[
+                Fault(FaultKind.DELAY, after_bytes=400_000, duration=1.0),
+                Fault(FaultKind.RESET, after_bytes=400_001),
+            ]
+        )
 
         async def main():
-            cluster_map = ClusterMap(specs, replication=2)
+            real = next(s for s in specs if s.backend_id == victim)
+            proxy = await ChaosProxy(
+                real.host, real.port, schedule=schedule
+            ).start()
+            cluster_map = ClusterMap(
+                [
+                    replace(s, port=proxy.port) if s is real else s
+                    for s in specs
+                ],
+                replication=2,
+            )
             router = ShardRouter(cluster_map, auth_token="fleet-secret")
             await router.start()
-            victim = cluster_map.owner(cloud_fingerprint(cloud)).backend_id
             try:
                 client = await AsyncGatewayClient.connect(
                     "127.0.0.1", router.tcp_port, auth_token="fleet-secret"
@@ -407,6 +439,7 @@ class TestFleetSigterm:
                     await client.close()
             finally:
                 await router.close()
+                await proxy.close()
 
         try:
             results, code, failovers = asyncio.run(main())

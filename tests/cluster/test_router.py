@@ -13,6 +13,7 @@ localhost sockets (subprocess fleets are exercised in
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -201,6 +202,52 @@ class TestRouting:
         assert set(gateway["backends"]) == {"b0", "b1"}
         assert gateway["replication"] == 2
         assert all(entry["up"] for entry in gateway["backends"].values())
+
+    def test_link_receive_buffer_is_pinned_where_granted(
+        self, scene, renderer, monkeypatch
+    ):
+        """A backend link asks for a fixed receive buffer, so how much of
+        a cached stream fits between backend and router does not depend
+        on where autotuning stopped; where the kernel grants less than
+        asked, the socket is left to autotuning instead of pinned small."""
+        from repro.cluster import router as router_module
+
+        want = router_module.LINK_RCVBUF
+        with socket.socket() as probe:
+            default = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, want)
+            granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        cloud, cameras = scene
+
+        async def body(router, cluster_map, gateways, services):
+            client = await AsyncGatewayClient.connect(
+                "127.0.0.1", router.tcp_port
+            )
+            try:
+                await client.render_frame(cloud, cameras[0])
+            finally:
+                await client.close()
+            return [
+                link._writer.get_extra_info("socket").getsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF
+                )
+                for link in router._links.values()
+                if link.connected
+            ]
+
+        sizes = run_cluster(renderer, body)
+        assert sizes
+        if granted >= want:
+            assert all(size == granted for size in sizes)
+        else:
+            assert all(size < want for size in sizes)
+
+        # Asking for more than any kernel grants changes nothing.
+        monkeypatch.setattr(router_module, "LINK_RCVBUF", 2**31 - 1)
+        with socket.socket() as sock:
+            router_module._pin_receive_buffer(sock)
+            assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) == default
+        router_module._pin_receive_buffer(None)  # a transport without one
 
 
 class TestFailover:

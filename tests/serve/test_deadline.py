@@ -167,16 +167,15 @@ class TestServiceDeadline:
 
 
 class TestGatewayDeadline:
-    def test_render_against_stalled_backend_is_a_pinned_504(
-        self, renderer, scene
-    ):
-        """The acceptance bound: RENDER with ``deadline_ms`` against a
-        chaos-stalled backend answers 504 within the deadline plus one
-        relay hop — with ``request_timeout`` far larger, so the 504
+    @pytest.fixture(scope="class")
+    def stalled_render(self, renderer, scene):
+        """RENDER with ``deadline_ms=400`` against a chaos-stalled
+        backend, with ``request_timeout`` far larger — so a 504
         provably came from the deadline, not the stall watchdog.  The
         stall is mid-FRAME on the backend's only link and replication
         is 1: without deadlines this request would hang for the full
-        watchdog timeout."""
+        watchdog timeout.  One run, shared by the test of what was
+        answered and the ``timing`` gate on how late."""
         cloud, camera = scene
         # Downstream offset 2000: past HELLO + SCENE_OK (a few hundred
         # bytes) and inside the first FRAME's ~14.4 KB pixel blob.
@@ -220,17 +219,28 @@ class TestGatewayDeadline:
                 await gateway.close()
                 await service.close()
 
-        error, elapsed, failovers, stats = asyncio.run(main())
+        return asyncio.run(main())
+
+    def test_render_against_stalled_backend_is_a_pinned_504(
+        self, stalled_render
+    ):
+        error, elapsed, failovers, stats = stalled_render
         assert error.code == int(ErrorCode.DEADLINE_EXCEEDED)
         assert stats.count(FaultKind.STALL) == 1  # the stall really fired
-        # Pinned: at least the deadline, at most deadline + one hop of
-        # slack — and nowhere near the 5 s watchdog.  The upper bound
-        # is env-softenable for noisy shared runners.
-        assert 0.35 <= elapsed
-        assert elapsed < float(os.environ.get("DEADLINE_SMOKE_MAX_S", "2.0"))
+        assert 0.35 <= elapsed  # never before the deadline
         # Deadline expiry is the *client's* problem, not the backend's:
         # no failover, no failure charged to a healthy-but-late backend.
         assert failovers == 0
+
+    @pytest.mark.timing
+    def test_the_504_arrives_within_one_hop_of_the_deadline(
+        self, stalled_render
+    ):
+        """The acceptance bound: at most deadline + one relay hop of
+        slack — nowhere near the 5 s watchdog.  Env-softenable for
+        noisy shared runners."""
+        elapsed = stalled_render[1]
+        assert elapsed < float(os.environ.get("DEADLINE_SMOKE_MAX_S", "2.0"))
 
 
 class TestWireCompat:

@@ -98,6 +98,39 @@ class TestStreaming:
             assert np.array_equal(result.image, ref.image)
             assert result.stats == ref.stats
 
+    def test_client_reads_a_frame_without_pausing_its_transport(
+        self, scene, renderer
+    ):
+        """Frames here (147 KB) exceed twice asyncio's default reader
+        limit, where the transport would stop reading mid-frame; the
+        client's own limit leaves room for several."""
+        from repro.serve import client as client_module
+
+        cloud, cameras = scene
+        pauses = []
+
+        async def body(service, gateway):
+            client = await AsyncGatewayClient.connect(
+                "127.0.0.1", gateway.tcp_port
+            )
+            transport = client._writer.transport
+            pause = transport.pause_reading
+            transport.pause_reading = lambda: (pauses.append(1), pause())[1]
+            try:
+                return [
+                    result.image.nbytes
+                    async for _, result in client.stream_trajectory(
+                        cloud, cameras
+                    )
+                ]
+            finally:
+                await client.close()
+
+        sizes = run_with_gateway(renderer, body)
+        assert min(sizes) > 2 * 64 * 1024
+        assert client_module.READ_LIMIT >= 2 * max(sizes)
+        assert not pauses
+
     def test_concurrent_connections_shared_verified(self, scene, renderer):
         """Several real connections; the shared verify helper passes and
         the service still coalesces across them."""

@@ -7,7 +7,9 @@ bit-identical guarantee has to survive the socket.
 """
 
 import asyncio
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
 from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera, look_at
+from repro.raster.renderer import RenderResult
+from repro.raster.stats import (
+    RasterCounters,
+    RenderStats,
+    SortCounters,
+    StageCounters,
+)
 from repro.serve import protocol
 from repro.serve.protocol import (
     ErrorCode,
@@ -248,3 +257,90 @@ class TestPayloadCodecs:
         frame.blob = frame.blob[:-4]
         with pytest.raises(ProtocolError):
             decode_result_frame(frame)
+
+
+def golden_result() -> RenderResult:
+    """A fixed, hand-written frame: every stats field set, ints and
+    floats both, tile keys out of order."""
+    stats = RenderStats(
+        preprocess=StageCounters(
+            num_input_gaussians=40, num_visible_gaussians=31,
+            num_candidate_tiles=96, num_boundary_tests=57,
+            boundary_test_cost=2.5, num_pairs=44,
+        ),
+        sort=SortCounters(
+            num_sorts=6, num_keys=44, num_comparisons=118.07820003461549,
+            max_sort_length=11,
+        ),
+        raster=RasterCounters(
+            num_alpha_computations=1234, num_blend_operations=987,
+            num_pixels=6, num_tile_passes=3, num_early_exit_pixels=1,
+        ),
+        bitmask_tests=17, bitmask_test_cost=0.1, num_bitmasks=5,
+        bitmask_bits=16, num_filter_checks=9,
+        per_tile_alpha={2: 700, 0: 534},
+    )
+    image = (np.arange(2 * 3 * 3, dtype=np.float64) / 7.0).reshape(2, 3, 3)
+    return RenderResult(image=image, stats=stats, projected=None, assignment=None)
+
+
+class TestGoldenFrame:
+    """The FRAME wire bytes are pinned: the digests below were taken
+    from ``encode_result_frame`` as it stood *before* it assembled the
+    header from stored parts (commit 3d3d099, one ``json.dumps`` of the
+    whole header).  Any change to key order, separators, escaping or
+    float formatting moves them."""
+
+    @pytest.mark.parametrize(
+        "options, size, digest",
+        [
+            (
+                {}, 820,
+                "2ffe6f750a4f9c9212b5391f5c6f85aeeea67ca2b14417b40b40dc8902cbb27e",
+            ),
+            (
+                {"backend": "gw-0", "trace": 't-"é"\n'}, 862,
+                "4cd669aae5900900e11d888269c7cfe417cfefa53783a16e0c39abbd3ad6ad49",
+            ),
+            (
+                {"checksum": False, "backend": "b"}, 758,
+                "8c982c16f93719910e193e9fdcb6978afd487ffff1c7677b2c66fe9d8b7fa91a",
+            ),
+        ],
+        ids=["bare", "stamped", "no-checksum"],
+    )
+    def test_frame_bytes_are_pinned(self, options, size, digest):
+        payload = encode_result_frame(7, 3, golden_result(), **options)
+        assert len(payload) == size
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_header_is_one_json_dump_of_the_whole_header(self):
+        """The assembled header equals the reference construction: one
+        dict, one ``json.dumps``."""
+        result = golden_result()
+        blob = result.image.tobytes()
+        reference = encode_frame(
+            MessageType.FRAME,
+            {
+                "request_id": 7,
+                "index": 3,
+                "image": {"dtype": "<f8", "shape": [2, 3, 3]},
+                "stats": encode_stats(result.stats),
+                "backend": "gw-0",
+                "trace": "t",
+                "sha256": hashlib.sha256(blob).hexdigest(),
+            },
+            blob,
+        )
+        assert encode_result_frame(
+            7, 3, result, backend="gw-0", trace="t"
+        ) == reference
+
+    def test_wire_result_computes_each_part_once(self):
+        wire = protocol.wire_result(golden_result())
+        assert protocol.wire_result(wire) is wire
+        assert wire.blob is wire.blob
+        assert wire.digest == hashlib.sha256(wire.blob).hexdigest()
+        assert json.loads(wire.stats_json) == json.loads(
+            json.dumps(encode_stats(wire.stats))
+        )

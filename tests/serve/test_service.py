@@ -18,7 +18,9 @@ from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
 from repro.gaussians.camera import Camera
 from repro.serve import RenderService, SharedRenderCache, run_clients
+from repro.serve.protocol import encode_result_frame
 from repro.tiles.boundary import BoundaryMethod
+from repro.trace import Tracer
 from tests.conftest import make_cloud
 
 
@@ -74,6 +76,63 @@ class TestSingleRequests:
         for result, ref in zip(results, reference):
             assert np.array_equal(result.image, ref.image)
             assert result.stats == ref.stats
+
+
+class TestRepeatHits:
+    def test_repeat_hit_stays_on_the_loop_thread(
+        self, scene, renderer, reference, monkeypatch
+    ):
+        """A view this process has already read from the cache is served
+        from the cache's memo: no executor hop (patched to raise here),
+        a ``cache`` span that says ``hit`` and ``local``, counters
+        exact, and the same bytes as a direct render — image, stats and
+        the encoded FRAME."""
+        cloud, cameras = scene
+        tracer = Tracer("service")
+
+        def refuse(*args):
+            raise AssertionError("a repeat hit took the executor hop")
+
+        async def main():
+            with SharedRenderCache() as cache:
+                async with RenderService(
+                    renderer, cache=cache, tracer=tracer
+                ) as service:
+                    miss = await service.render_frame(cloud, cameras[0])
+                    first = await service.render_frame(
+                        cloud, cameras[0], trace="first"
+                    )
+                    with monkeypatch.context() as patch:
+                        patch.setattr(
+                            asyncio.get_running_loop(), "run_in_executor", refuse
+                        )
+                        hit = await service.render_frame(
+                            cloud, cameras[0], trace="repeat"
+                        )
+                    assert hit is first
+                    return miss, hit, service.stats.cache_hits, cache.stats()
+
+        miss, hit, service_hits, cache_stats = asyncio.run(main())
+        assert service_hits == 2
+        assert cache_stats == {"hits": 2, "misses": 1, "stores": 1}
+        for result in (miss, hit):
+            assert np.array_equal(result.image, reference[0].image)
+            assert result.stats == reference[0].stats
+        assert encode_result_frame(4, 2, hit, backend="b") == encode_result_frame(
+            4, 2, reference[0], backend="b"
+        )
+        # The miss came back already hashed: its digest is the hit's.
+        assert miss.digest == hit.digest
+        attrs = {
+            trace: [
+                s["attrs"] for s in tracer.spans(trace=trace) if s["name"] == "cache"
+            ]
+            for trace in ("first", "repeat")
+        }
+        assert attrs == {
+            "first": [{"hit": True}],
+            "repeat": [{"hit": True, "local": True}],
+        }
 
 
 class TestConcurrentLoad:
