@@ -24,7 +24,8 @@ every streamed frame bit-for-bit against direct engine renders.  With
 localhost socket (``--http`` adds the curl-able HTTP adapter,
 ``--listen`` serves until interrupted instead of generating load,
 ``--adaptive`` retunes the batching knobs against ``--target-ms``, and
-``--batch-workers N`` renders each flushed batch across a worker pool).
+``--batch-workers 1`` renders cache misses on the flush thread instead of
+the process-wide render pool).
 ``cluster`` spawns a local fleet of gateway backend subprocesses behind
 a :class:`repro.cluster.ShardRouter` (scene-sharded rendezvous routing,
 replication, health-driven failover) and drives multi-scene client load
@@ -1080,13 +1081,15 @@ def build_parser() -> argparse.ArgumentParser:
         "beneath the admission controller)",
     )
     serve.add_argument(
-        "--batch-workers", type=int, default=1,
-        help="render each flushed micro-batch across this many pool "
-        "workers (persistent per-scene pools)",
+        "--batch-workers", type=int, default=None,
+        help="1 renders each flushed micro-batch on the flush thread; "
+        "unset or > 1 renders it on the process-wide render pool "
+        "(one worker per CPU)",
     )
     serve.add_argument(
         "--batch-executor", choices=("process", "thread"), default="process",
-        help="worker pool type for --batch-workers > 1",
+        help="'thread' renders each flushed micro-batch on the flush "
+        "thread, like --batch-workers 1",
     )
     serve.add_argument(
         "--auth-token", default=None,

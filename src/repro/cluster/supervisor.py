@@ -12,6 +12,11 @@ backend — no goodbye, no flushing, the exact mid-stream death the
 failover machinery must survive — which the tests, the demo and the CI
 ``cluster-smoke`` job all use.
 
+Each backend leads a session of its own, and every way a backend ends
+here ends its whole process group: the helpers it started (the render
+cache's manager, the render pool's forkserver and workers) do not
+outlive it.
+
 Backends inherit the parent's interpreter and environment plus an
 explicit ``PYTHONPATH`` entry for this repo's ``src`` (so fleets work
 from a source checkout without installation).  The shared-secret token
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,6 +46,27 @@ from repro.cluster.topology import BackendSpec
 _READY_RE = re.compile(
     r"CLUSTER-BACKEND READY id=(?P<id>\S+) tcp=(?P<tcp>\d+) http=(?P<http>\S+)"
 )
+
+
+def _end_group(process: subprocess.Popen) -> None:
+    """SIGTERM what is left of an ended backend's process group.
+
+    The group outlives its leader while any member lives, so its id
+    still names it.  multiprocessing's resource tracker ignores SIGTERM
+    and exits once the last of its clients is gone, unlinking what a
+    killed backend left in shared memory.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGTERM)
+    except ProcessLookupError:
+        pass
+
+
+def _kill(process: subprocess.Popen) -> None:
+    """SIGKILL a backend, reap it, then end the rest of its group."""
+    process.kill()
+    process.wait()
+    _end_group(process)
 
 
 @dataclass
@@ -173,6 +200,7 @@ class LocalFleet:
                     stdout=log,
                     stderr=subprocess.STDOUT,
                     env=env,
+                    start_new_session=True,
                 )
             finally:
                 log.close()  # the child holds its own descriptor
@@ -185,8 +213,7 @@ class LocalFleet:
                 )
         except Exception:
             for _, process, _ in launches:
-                if process.poll() is None:
-                    process.kill()
+                _kill(process)
             raise
         return self.specs
 
@@ -212,7 +239,7 @@ class LocalFleet:
                     http_port=None if http == "-" else int(http),
                 )
             time.sleep(0.02)
-        process.kill()
+        _kill(process)
         raise RuntimeError(
             f"backend {backend_id} did not announce READY within "
             f"{self.startup_timeout}s — see {log_path}"
@@ -235,9 +262,7 @@ class LocalFleet:
         """SIGKILL one backend — the ungraceful mid-stream death."""
         record = self._procs[backend_id]
         record.killed = True
-        if record.alive:
-            record.process.kill()
-            record.process.wait()
+        _kill(record.process)
 
     def terminate(self, backend_id: str, timeout: float = 30.0) -> "int | None":
         """SIGTERM one backend — the graceful departure.
@@ -252,6 +277,7 @@ class LocalFleet:
         if record.alive:
             record.process.terminate()
             record.process.wait(timeout=timeout)
+        _end_group(record.process)
         return record.process.returncode
 
     def logs(self, backend_id: str) -> str:
@@ -268,9 +294,9 @@ class LocalFleet:
             remaining = max(deadline - time.monotonic(), 0.1)
             try:
                 record.process.wait(timeout=remaining)
+                _end_group(record.process)
             except subprocess.TimeoutExpired:
-                record.process.kill()
-                record.process.wait()
+                _kill(record.process)
         self._procs.clear()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()

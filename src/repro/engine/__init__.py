@@ -15,8 +15,11 @@ The engine layer sits on top of the functional renderers:
   batch path.
 * :class:`TrajectoryPool` — a reusable worker pool pinned to one
   ``(renderer, cloud)`` pair (:meth:`RenderEngine.open_pool`), so
-  callers that render many small batches of the same scene — the
-  serving layer's micro-batch flushes — pay worker startup once.
+  callers that render many small batches of the same scene pay worker
+  startup once.
+* :func:`render_in_pool` — single frames of any scene and renderer on
+  one process-wide forkserver pool, created on first use; the serving
+  layer renders its cache misses there.
 
 See ``docs/architecture.md`` for where this layer sits in the system.
 """
@@ -26,7 +29,12 @@ from repro.engine.batch import (
     segmented_depth_sort,
     sort_groups_batched,
 )
-from repro.engine.engine import RenderEngine, TrajectoryPool, TrajectoryResult
+from repro.engine.engine import (
+    RenderEngine,
+    TrajectoryPool,
+    TrajectoryResult,
+    render_in_pool,
+)
 from repro.engine.protocol import Renderer
 
 __all__ = [
@@ -35,6 +43,7 @@ __all__ = [
     "TrajectoryPool",
     "TrajectoryResult",
     "blend_tiles_batched",
+    "render_in_pool",
     "segmented_depth_sort",
     "sort_groups_batched",
 ]

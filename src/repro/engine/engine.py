@@ -13,12 +13,18 @@ and provides
   ``concurrent.futures`` worker pool, shared projection caching keyed on
   ``(cloud, camera)`` via :class:`repro.experiments.cache.ProjectionCache`,
   and aggregated :class:`repro.raster.stats.RenderStats` merging.
+* :func:`render_in_pool` — single frames of any scene and renderer on
+  one process-wide forkserver pool, the serving layer's miss path.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,13 +208,110 @@ def _render_task(camera: Camera) -> RenderResult:
     )
 
 
+def _render_view_task(
+    renderer: Renderer, vectorized: bool, cloud: GaussianCloud, camera: Camera
+) -> "tuple[int, RenderResult]":
+    """Render-pool single-frame render (module-level for picklability).
+
+    A worker serves every scene and renderer of its process, so nothing
+    is pinned: the cloud travels with the task and a throwaway engine on
+    a single-slot projection cache renders it.  Returns the worker's pid
+    beside the worker contract's result (image and stats only, as
+    :func:`_render_task`).
+    """
+    engine = RenderEngine(
+        renderer, cache=ProjectionCache(max_entries=1), vectorized=vectorized
+    )
+    result = engine.render(cloud, camera)
+    return os.getpid(), RenderResult(
+        image=result.image, stats=result.stats, projected=None, assignment=None
+    )
+
+
+#: The process-wide render pool behind :func:`render_in_pool`.
+_RENDER_POOL: "ProcessPoolExecutor | None" = None
+_RENDER_POOL_LOCK = threading.Lock()
+
+
+def _render_pool() -> ProcessPoolExecutor:
+    """The render pool, created on first use.
+
+    Forkserver, not fork: a worker forked while another thread of a
+    server holds a lock inherits that lock held, forever.  The
+    forkserver preloads this module, so a worker starts with the engine
+    imported.  One pool per process, not per caller: fresh workers pay
+    hundreds of milliseconds before their first frame.
+    """
+    global _RENDER_POOL
+    with _RENDER_POOL_LOCK:
+        if _RENDER_POOL is None:
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload([__name__])
+            _RENDER_POOL = ProcessPoolExecutor(
+                len(os.sched_getaffinity(0)), mp_context=context
+            )
+        return _RENDER_POOL
+
+
+def _shutdown_render_pool() -> None:
+    """End the render pool's workers; the next miss starts a new pool."""
+    global _RENDER_POOL
+    with _RENDER_POOL_LOCK:
+        pool, _RENDER_POOL = _RENDER_POOL, None
+    if pool is not None:
+        pool.shutdown()
+
+
+def _forget_render_pool() -> None:
+    """Fork hook: a child owns neither its parent's pool nor its lock."""
+    global _RENDER_POOL, _RENDER_POOL_LOCK
+    _RENDER_POOL = None
+    _RENDER_POOL_LOCK = threading.Lock()
+
+
+atexit.register(_shutdown_render_pool)
+os.register_at_fork(after_in_child=_forget_render_pool)
+
+
+def render_in_pool(
+    renderer: Renderer,
+    vectorized: bool,
+    cloud: GaussianCloud,
+    cameras: "list[Camera] | tuple[Camera, ...]",
+) -> "list[tuple[int, RenderResult]]":
+    """Render ``cameras`` of ``cloud`` on the process-wide render pool.
+
+    Blocks until every frame is back and returns ``(worker pid,
+    result)`` pairs in camera order.  The pool has one worker per CPU
+    this process may run on, is shared by every caller in the process
+    whatever its scene or renderer, and is shut down at interpreter
+    exit.  Results follow the worker contract (``projected`` and
+    ``assignment`` are ``None``); images and stats are bit-identical to
+    :meth:`RenderEngine.render`.  A pool whose worker died is replaced
+    on the next call.
+    """
+    global _RENDER_POOL
+    pool = _render_pool()
+    futures = [
+        pool.submit(_render_view_task, renderer, vectorized, cloud, camera)
+        for camera in cameras
+    ]
+    try:
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        with _RENDER_POOL_LOCK:
+            if _RENDER_POOL is pool:
+                _RENDER_POOL = None
+        raise
+
+
 class TrajectoryPool:
     """A reusable worker pool pinned to one ``(renderer, cloud)`` pair.
 
     ``render_trajectory`` builds and tears down its pool per call, which
-    is the right shape for one big batch but wrong for a *service*
-    flushing many small batches per second: pool startup (process
-    spawn/fork + initializer) would dominate every flush.  A
+    is the right shape for one big batch but wrong for a caller
+    rendering many small batches of one scene: pool startup (process
+    spawn/fork + initializer) would dominate every batch.  A
     ``TrajectoryPool`` pays that cost once — create it via
     :meth:`RenderEngine.open_pool`, pass it to any number of
     ``render_trajectory(pool=...)`` calls (or call :meth:`map` directly),
@@ -405,7 +508,7 @@ class RenderEngine:
         """Open a reusable :class:`TrajectoryPool` pinned to ``cloud``.
 
         Pays worker startup once for many ``render_trajectory(pool=...)``
-        calls — the shape the serving layer's micro-batch flushes need.
+        calls.
         The caller owns the pool's lifecycle (``close()`` or use it as a
         context manager).
         """
@@ -464,8 +567,7 @@ class RenderEngine:
             Optional reusable :class:`TrajectoryPool` from
             :meth:`open_pool`.  When given it supersedes ``workers`` /
             ``executor`` / ``render_store`` (they were fixed at pool
-            creation) and the per-call pool startup cost disappears —
-            the micro-batch-flush fast path.
+            creation) and the per-call pool startup cost disappears.
         """
         cameras = list(cameras)
         if pool is not None:

@@ -16,14 +16,14 @@ into a *service*: many concurrent clients, few engine renders.
       │        MicroBatcher  — coalesce a scene's misses, flush at
       │            │           max_batch_size or after max_wait
       │            ▼
-      └──────  RenderEngine.render_trajectory  (one batch per flush,
-               on a worker thread; bit-identical frames)
+      └──────  render_in_pool  (one batch per flush, on the
+               process-wide render pool; bit-identical frames)
 
 * :class:`RenderService` — asyncio front end: ``render_frame`` for one
   view, ``stream_trajectory`` to stream a trajectory's frames in order
   as they complete, with bounded-queue backpressure and cancellation;
-  ``batch_workers > 1`` renders each flushed batch across a persistent
-  per-scene worker pool.
+  cache misses render on the process-wide render pool, one worker per
+  CPU.
 * :class:`MicroBatcher` — the micro-batching scheduler.
 * :class:`AdaptiveBatchPolicy` — fast-timescale adaptation of the
   batching knobs against a p95 latency target.

@@ -21,10 +21,10 @@
   trajectory streams keep at most ``prefetch`` frames in flight.  (The
   network gateway layers *rejecting* admission control — 429 error
   frames — on top; see :mod:`repro.serve.gateway`.)
-* **Batch parallelism** — with ``batch_workers > 1`` every flushed
-  micro-batch renders across a persistent per-scene
-  :class:`repro.engine.TrajectoryPool` (process or thread workers)
-  instead of serially on the flush thread.
+* **Parallel misses** — a flushed micro-batch renders on the
+  process-wide render pool (:func:`repro.engine.render_in_pool`), so
+  misses on different scenes use different cores instead of sharing
+  the GIL on the flush threads.
 * **Adaptation** — an attached
   :class:`repro.serve.policy.AdaptiveBatchPolicy` retunes
   ``max_batch_size``/``max_wait`` from measured request-latency
@@ -44,11 +44,12 @@ images and stats as read-only.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.engine import RenderEngine
+from repro.engine import RenderEngine, render_in_pool
 from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
 from repro.gaussians.cloud import GaussianCloud
@@ -133,12 +134,13 @@ class RenderService:
     vectorized:
         Forwarded to the underlying :class:`RenderEngine`.
     batch_workers, batch_executor:
-        Worker-pool execution for micro-batch flushes: with
-        ``batch_workers > 1`` each flushed batch renders across a
-        persistent :class:`repro.engine.TrajectoryPool` of this many
-        workers (``"process"`` or ``"thread"``), one pool per scene
-        lane, instead of serially on the flush thread.  Pools are
-        created on a lane's first flush and closed by :meth:`close`.
+        Where a flushed micro-batch renders.  By default (``None``,
+        ``"process"``) on the process-wide render pool of
+        :func:`repro.engine.render_in_pool`, one worker per CPU, shared
+        with every other service in the process; ``batch_workers=1`` or
+        ``batch_executor="thread"`` renders serially on the flush thread
+        instead.  Any ``batch_workers > 1`` also means the shared pool,
+        whose size is the CPU count.
     policy:
         Optional :class:`repro.serve.policy.AdaptiveBatchPolicy`.  When
         given, the service measures every request's end-to-end latency,
@@ -164,14 +166,14 @@ class RenderService:
         max_wait: float = 0.002,
         max_pending: int = 32,
         vectorized: bool = True,
-        batch_workers: int = 1,
+        batch_workers: "int | None" = None,
         batch_executor: str = "process",
         policy=None,
         tracer=None,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be positive")
-        if batch_workers < 1:
+        if batch_workers is not None and batch_workers < 1:
             raise ValueError("batch_workers must be positive")
         if batch_executor not in ("process", "thread"):
             raise ValueError(
@@ -184,6 +186,7 @@ class RenderService:
         self.max_pending = max_pending
         self.batch_workers = batch_workers
         self.batch_executor = batch_executor
+        self._pooled = batch_executor == "process" and batch_workers != 1
         self.policy = policy
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = ServiceStats()
@@ -198,10 +201,6 @@ class RenderService:
         # Batches for different scenes may execute on different worker
         # threads; counter updates need a real lock, not the GIL.
         self._stats_lock = threading.Lock()
-        # Per-scene-lane TrajectoryPools (batch_workers > 1); lanes flush
-        # on different executor threads, so creation is lock-guarded.
-        self._pools: "dict[object, object]" = {}
-        self._pools_lock = threading.Lock()
 
     @property
     def batch_stats(self):
@@ -242,60 +241,54 @@ class RenderService:
         return counters
 
     # -- internals ------------------------------------------------------
-    def _lane_pool(self, key, cloud):
-        """The lane's persistent :class:`TrajectoryPool`, created lazily."""
-        pool = self._pools.get(key)
-        if pool is None:
-            with self._pools_lock:
-                pool = self._pools.get(key)
-                if pool is None:
-                    pool = self.engine.open_pool(
-                        cloud, self.batch_workers, executor=self.batch_executor
-                    )
-                    self._pools[key] = pool
-        return pool
-
     def _render_batch(self, key, items) -> "list[RenderResult]":
-        """Worker-thread batch execution: one engine batch per flush.
+        """Flush-thread batch execution: one engine batch per flush.
 
-        ``items`` all share the lane's scene; the whole lane renders
-        through a single ``render_trajectory`` call — across the lane's
-        persistent worker pool when ``batch_workers > 1`` — and each
-        finished frame is published to the shared cache before the
-        results fan back out to the waiters.  With tracing on, each
-        item's lane wait becomes a ``batch`` span and its engine work a
-        ``render`` span (batch id, occupancy, frame sha prefix);
-        neither touches the rendered bytes.
+        ``items`` all share the lane's scene.  Their frames render on
+        the process-wide render pool (or serially on this thread, see
+        ``batch_workers``), and each finished frame is published to the
+        shared cache before the results fan back out to the waiters.
+        With tracing on, each item's lane wait becomes a ``batch`` span
+        and its engine work a ``render`` span (batch id, occupancy,
+        frame sha prefix, rendering pid); neither touches the rendered
+        bytes.
         """
         cloud = items[0][0]
         cameras = [item[1] for item in items]
         tracer = self.tracer
         batch_start = tracer.now() if tracer.enabled else 0.0
-        pool = (
-            self._lane_pool(key, cloud) if self.batch_workers > 1 else None
-        )
-        trajectory = self.engine.render_trajectory(cloud, cameras, pool=pool)
+        if self._pooled:
+            workers, rendered = zip(
+                *render_in_pool(
+                    self.renderer, self.engine.vectorized, cloud, cameras
+                )
+            )
+        else:
+            rendered = self.engine.render_trajectory(cloud, cameras).results
+            workers = [os.getpid()] * len(cameras)
         with self._stats_lock:
             self.stats.engine_renders += len(cameras)
         # Wire-ready from here on: whatever the cache, a trace span and
         # the FRAME encoder need of a frame (bytes, digest, stats JSON)
         # is computed once and travels with the result.
-        results = [wire_result(result) for result in trajectory.results]
+        results = [wire_result(result) for result in rendered]
         if self.cache is not None:
             for camera, result in zip(cameras, results):
                 self.cache.put(cloud, camera, self.renderer, result)
         if tracer.enabled:
-            self._trace_batch(key, items, results, batch_start)
+            self._trace_batch(key, items, results, workers, batch_start)
         return results
 
-    def _trace_batch(self, key, items, results, batch_start: float) -> None:
+    def _trace_batch(
+        self, key, items, results, workers, batch_start: float
+    ) -> None:
         """Emit per-item ``batch``/``render`` spans for one flushed batch."""
         tracer = self.tracer
         batch_end = tracer.now()
         batch_id = tracer.new_batch_id()
         occupancy = len(items)
         tracer.metrics.observe("batch_occupancy", occupancy)
-        for item, result in zip(items, results):
+        for item, result, worker in zip(items, results, workers):
             ctx = item[2] if len(item) > 2 else None
             if ctx is None:
                 continue
@@ -323,6 +316,7 @@ class RenderService:
                     "class": request_class,
                     "sha": result.digest[:12],
                     "camera": encode_camera(camera),
+                    "worker": worker,
                 },
             )
 
@@ -610,13 +604,11 @@ class RenderService:
 
     # -- lifecycle ------------------------------------------------------
     async def close(self) -> None:
-        """Flush pending batches, settle in-flight work, close pools."""
+        """Flush pending batches and settle in-flight work.
+
+        The render pool is process-wide and outlives the service.
+        """
         await self._batcher.drain()
-        with self._pools_lock:
-            pools, self._pools = dict(self._pools), {}
-        for pool in pools.values():
-            # Executor shutdown blocks; keep it off the event loop.
-            await asyncio.get_running_loop().run_in_executor(None, pool.close)
 
     async def __aenter__(self) -> "RenderService":
         return self

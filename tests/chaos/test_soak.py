@@ -50,9 +50,10 @@ _MID_STREAM = 40_000
 
 
 @pytest.fixture(scope="module")
-def soak():
+def soak(warm_render_pool):
     """One run of the three-stream soak, shared by the test of what it
-    served and the ``timing`` gate on how long it took."""
+    served and the ``timing`` gate on how long it took.  The render
+    pool starts warm: its cold start outlasts the stall watchdog."""
     rng = np.random.default_rng(41)
     cloud = make_cloud(35, rng)
     cameras = [

@@ -358,7 +358,7 @@ class TestFailover:
         assert run_cluster(renderer, body) == int(ErrorCode.SHUTTING_DOWN)
 
     def test_wedged_backend_times_out_and_fails_over(
-        self, scene, renderer, reference
+        self, scene, renderer, reference, warm_render_pool
     ):
         """A backend that stays *connected* but never answers (wedged
         process) must not hang the client: the per-request deadline

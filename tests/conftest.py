@@ -3,14 +3,25 @@
 Unit tests use hand-sized synthetic inputs (tens of Gaussians, ~64x48
 images) so the whole suite stays fast; integration tests build slightly
 larger scenes through the public scene loader.
+
+The run also owns every process it starts: a session fixture fails it
+if any of them outlives the last test.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import signal
+import time
+from multiprocessing import forkserver, resource_tracker
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.engine import engine as engine_module
+from repro.engine import render_in_pool
 from repro.gaussians.camera import Camera, look_at
 from repro.gaussians.cloud import GaussianCloud
 from repro.gaussians.culling import CullingResult
@@ -21,11 +32,95 @@ from repro.gaussians.projection import (
     project,
 )
 from repro.gaussians.rotation import random_unit_quaternions
+from repro.raster.renderer import BaselineRenderer
+from repro.tiles.boundary import BoundaryMethod
 
 # Tier-1 is reproducible: every property test draws the same examples on
 # every run, so `pytest -x` stops at a real regression, never at a draw.
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+#: How long processes may take to end by themselves after the last test.
+LEAK_GRACE_S = 10.0
+
+
+def _live_descendants(root: int) -> "dict[int, str]":
+    """pid -> command line of every running descendant of ``root``."""
+    children: "dict[int, list[int]]" = {}
+    ended = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as f:
+                fields = f.read().rpartition(")")[2].split()
+        except OSError:
+            continue  # ended while we looked
+        children.setdefault(int(fields[1]), []).append(int(entry))
+        if fields[0] == "Z":
+            ended.add(int(entry))
+    found: "dict[int, str]" = {}
+    stack = list(children.get(root, []))
+    while stack:
+        pid = stack.pop()
+        stack.extend(children.get(pid, []))
+        if pid in ended:
+            continue
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                found[pid] = f.read().replace(b"\0", b" ").decode(errors="replace")
+        except OSError:
+            continue
+    return found
+
+
+def _reap() -> None:
+    """Collect every child of this process that has ended."""
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:
+        pass
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_processes():
+    """Fail the run if a process started during it outlives it.
+
+    This process becomes a child subreaper first, so a process orphaned
+    mid-run (say, the helper of a SIGKILLed backend) is re-parented here
+    instead of to init and still counts as a descendant.  The render
+    pool ends here as it would at exit; this process's own forkserver
+    and resource tracker end with it and are not counted.
+    """
+    if not os.path.isdir("/proc"):
+        yield
+        return
+    ctypes.CDLL(None).prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
+    yield
+    engine_module._shutdown_render_pool()
+    own = {forkserver._forkserver._forkserver_pid, resource_tracker._resource_tracker._pid}
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while True:
+        _reap()
+        leaked = {
+            pid: command
+            for pid, command in _live_descendants(os.getpid()).items()
+            if pid not in own
+        }
+        if not leaked or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    for pid in leaked:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if leaked:
+        pytest.fail(
+            "processes outlived the test run: "
+            + "; ".join(f"{pid} {command}" for pid, command in leaked.items())
+        )
 
 
 def make_cloud(
@@ -99,6 +194,23 @@ def make_projected(
         eigvecs=eigvecs,
         radii=SIGMA_EXTENT * np.sqrt(eigvals[:, 0]),
         culling=CullingResult(np.ones(m, dtype=bool), m, 0, 0, 0),
+    )
+
+
+@pytest.fixture(scope="session")
+def warm_render_pool() -> None:
+    """Start every worker of the process-wide render pool.
+
+    The pool starts on the first cache miss, and its first frames wait
+    for the forkserver and its workers to start (about 0.4 s).  A test
+    whose router watchdog is shorter than that requests this fixture so
+    that no failover comes from the cold start.
+    """
+    cloud = make_cloud(8, np.random.default_rng(0))
+    camera = Camera(width=16, height=16, fx=15.0, fy=15.0)
+    workers = len(os.sched_getaffinity(0))
+    render_in_pool(
+        BaselineRenderer(16, BoundaryMethod.ELLIPSE), True, cloud, [camera] * workers
     )
 
 

@@ -12,6 +12,7 @@ The two load-bearing properties:
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.grouping import is_lossless_combination
+from repro.core.hierarchical import HierarchicalGSTGRenderer
 from repro.core.pipeline import GSTGRenderer
-from repro.engine import RenderEngine, TrajectoryResult
+from repro.engine import RenderEngine, TrajectoryResult, render_in_pool
 from repro.experiments.cache import ProjectionCache, camera_key
 from repro.gaussians.camera import Camera, look_at
 from repro.raster.renderer import BaselineRenderer
@@ -200,8 +202,33 @@ class TestRenderTrajectory:
         assert trajectory.stats == RenderStats()
 
 
+class TestRenderPool:
+    """The process-wide render pool behind the serving layer's misses."""
+
+    @pytest.mark.parametrize(
+        "renderer",
+        [
+            GSTGRenderer(16, 64, BoundaryMethod.ELLIPSE),
+            BaselineRenderer(16, BoundaryMethod.ELLIPSE),
+            HierarchicalGSTGRenderer(16, 64, 128, BoundaryMethod.ELLIPSE),
+        ],
+        ids=["gstg", "baseline", "hierarchical"],
+    )
+    def test_pool_frames_equal_engine_render(self, small_cloud, renderer):
+        cameras = _orbit(3)
+        engine = RenderEngine(renderer)
+        pooled = render_in_pool(renderer, True, small_cloud, cameras)
+        assert len(pooled) == len(cameras)
+        for (worker, result), camera in zip(pooled, cameras):
+            reference = engine.render(small_cloud, camera)
+            assert worker != os.getpid()
+            assert result.image.tobytes() == reference.image.tobytes()
+            _assert_same_result(result, reference)
+            assert result.projected is None and result.assignment is None
+
+
 class TestTrajectoryPool:
-    """The reusable worker pool behind the serving layer's batch flushes."""
+    """A reusable worker pool pinned to one scene."""
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_pool_bit_identical_and_reusable(self, small_cloud, executor):

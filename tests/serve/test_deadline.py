@@ -298,11 +298,17 @@ class TestWireCompat:
 
 
 class TestPoolDeadline:
-    def test_backoff_never_outlives_the_deadline(self, scene):
+    def test_backoff_never_outlives_the_deadline(self, scene, monkeypatch):
         """A retry sleep that would land past the request deadline is
         not taken: the pool raises 504 immediately instead of burning
         the remaining budget asleep and delivering a late failure."""
         cloud, camera = scene
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recorded_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
 
         async def main():
             # Nothing listens here: every attempt is a retryable 503.
@@ -317,18 +323,18 @@ class TestPoolDeadline:
                 retries=10, backoff=1.0, connect_timeout=0.5,
             )
             try:
-                start = time.monotonic()
                 with pytest.raises(GatewayError) as info:
                     await pool.render_frame(cloud, camera, deadline_ms=250)
-                return info.value, time.monotonic() - start
+                return info.value
             finally:
                 await pool.close()
 
-        error, elapsed = asyncio.run(main())
+        monkeypatch.setattr(asyncio, "sleep", recorded_sleep)
+        error = asyncio.run(main())
         assert error.code == int(ErrorCode.DEADLINE_EXCEEDED)
         # backoff=1.0 means the first sleep alone (≥ 0.5 s jittered)
         # would outlive the 250 ms deadline: the pool must not sleep.
-        assert elapsed < 0.5
+        assert sleeps == []
 
 
 class TestClientChecksum:

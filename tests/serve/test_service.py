@@ -10,12 +10,15 @@ Plain ``asyncio.run`` drivers — no async test plugin required.
 """
 
 import asyncio
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
+from repro.engine import engine as engine_module
 from repro.gaussians.camera import Camera
 from repro.serve import RenderService, SharedRenderCache, run_clients
 from repro.serve.protocol import encode_result_frame
@@ -304,30 +307,110 @@ class TestBackpressureAndCancellation:
             RenderService(renderer, batch_executor="carrier-pigeon")
 
 
+class _RendezvousRenderer(GSTGRenderer):
+    """GS-TG whose every frame waits at a cross-process barrier first.
+
+    With a two-party barrier, two frames finish only if two processes
+    render them at the same time: one process taking both in turn
+    breaks the barrier instead (its timeout only bounds a failure).
+    """
+
+    def __init__(self, barrier) -> None:
+        super().__init__(16, 64, BoundaryMethod.ELLIPSE)
+        self.barrier = barrier
+
+    def render(self, cloud, camera):
+        self.barrier.wait(timeout=60)
+        return super().render(cloud, camera)
+
+
+def _render_workers(tracer: Tracer, trace: str) -> "list[int]":
+    """The ``worker`` pid of every ``render`` span of ``trace``."""
+    return [
+        span["attrs"]["worker"]
+        for span in tracer.spans(trace=trace)
+        if span["name"] == "render"
+    ]
+
+
 class TestBatchWorkerPools:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_pooled_batches_bit_identical(
         self, scene, renderer, reference, executor
     ):
-        """batch_workers > 1 renders each flush across a persistent pool;
-        frames and stats stay bit-identical and the pools close with the
-        service."""
+        """batch_workers > 1 renders each flush on the process-wide pool
+        (``"process"``) or on the flush thread (``"thread"``); frames and
+        stats stay bit-identical and the render spans name the pid."""
         cloud, cameras = scene
+        tracer = Tracer("service")
 
         async def main():
-            service = RenderService(
+            async with RenderService(
                 renderer,
                 max_batch_size=4,
                 max_wait=0.002,
                 batch_workers=2,
                 batch_executor=executor,
-            )
-            async with service:
-                results = await service.render_trajectory(cloud, cameras)
-            return results, service
+                tracer=tracer,
+            ) as service:
+                return [
+                    result
+                    async for _, result in service.stream_trajectory(
+                        cloud, cameras, trace="t"
+                    )
+                ]
 
-        results, service = asyncio.run(main())
+        results = asyncio.run(main())
         for result, ref in zip(results, reference):
             assert np.array_equal(result.image, ref.image)
             assert result.stats == ref.stats
-        assert service._pools == {}  # close() released the lane pools
+        workers = _render_workers(tracer, "t")
+        assert len(workers) == len(cameras)
+        in_process = [worker == os.getpid() for worker in workers]
+        assert all(in_process) if executor == "thread" else not any(in_process)
+
+
+class TestSharedRenderPool:
+    """Misses render on one process-wide pool: concurrently, and shared
+    by every service in the process."""
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for two workers"
+    )
+    def test_misses_on_two_lanes_render_in_two_workers(self, scene):
+        camera = scene[1][0]
+        clouds = [make_cloud(30, np.random.default_rng(seed)) for seed in (1, 2)]
+        tracer = Tracer("service")
+
+        async def main():
+            with multiprocessing.get_context("forkserver").Manager() as manager:
+                async with RenderService(
+                    _RendezvousRenderer(manager.Barrier(2)), tracer=tracer
+                ) as service:
+                    return await asyncio.gather(
+                        *(
+                            service.render_frame(cloud, camera, trace=f"lane{i}")
+                            for i, cloud in enumerate(clouds)
+                        )
+                    )
+
+        assert len(asyncio.run(main())) == 2
+        (first,), (second,) = (_render_workers(tracer, f"lane{i}") for i in (0, 1))
+        assert first != second
+        assert os.getpid() not in (first, second)
+
+    def test_second_service_reuses_the_pool_workers(self, scene, renderer):
+        cloud, cameras = scene
+        tracer = Tracer("service")
+
+        async def render(camera, trace):
+            async with RenderService(renderer, tracer=tracer) as service:
+                await service.render_frame(cloud, camera, trace=trace)
+
+        asyncio.run(render(cameras[0], "first"))
+        pool = engine_module._RENDER_POOL
+        workers = set(pool._processes)
+        asyncio.run(render(cameras[1], "second"))
+        assert engine_module._RENDER_POOL is pool
+        assert set(pool._processes) == workers
+        assert set(_render_workers(tracer, "second")) <= workers
