@@ -155,16 +155,18 @@ def generate_bitmasks_fast(
     """Vectorised equivalent of :func:`generate_bitmasks`.
 
     The reference tests every (Gaussian, group) pair against all of the
-    group's tiles, one pair at a time.  Here every pair's tile slots are
-    laid out densely, the slots whose rectangle does not even touch the
-    Gaussian's :func:`bounding_rects` rectangle are culled — that
-    rectangle contains the boundary shape, the containment the
-    reference's row-range accounting already relies on, so a culled slot
-    cannot hit — and one batched boundary test runs on the survivors
-    (about a third of the slots at 16 tiles per group).  Masks, pair
-    order and all counters are identical to the reference — enforced by
-    equivalence tests — which keeps GS-TG's losslessness property intact
-    through the fast path.
+    group's tiles, one pair at a time.  Here each pair's candidate slots
+    come from two small overlap tests against the Gaussian's
+    :func:`bounding_rects` rectangle: one over the group's tile rows and
+    one over its tile columns, ``(k, tiles_per_side)`` each, with the
+    same closed-interval comparisons as the reference's row-range
+    accounting.  A slot is a candidate when both its row and its column
+    touch the rectangle; that rectangle contains the boundary shape, so
+    no other slot can hit.  One batched boundary test then runs on the
+    candidates, whose rectangles are assembled from the row and column
+    edges.  Masks, pair order and all counters are identical to the
+    reference — enforced by equivalence tests — which keeps GS-TG's
+    losslessness property intact through the fast path.
     """
     if group_assignment.grid.tile_size != geometry.group_size:
         raise ValueError("group assignment grid does not match the geometry")
@@ -181,52 +183,51 @@ def generate_bitmasks_fast(
     if k:
         tg = geometry.tile_grid
         side = geometry.tiles_per_side
-        unique_groups, inverse = np.unique(
-            group_assignment.tile_ids, return_inverse=True
-        )
+        gauss = group_assignment.gaussian_ids
+        bx0, by0, bx1, by1 = bounding_rects(proj, method)[gauss].T
 
-        # Dense per-group layout: column ``s`` is tile slot ``s``; slots
-        # of an edge group that fall outside the image are invalid.
-        gx, gy = geometry.group_grid.tile_coords(unique_groups)
-        slot = np.arange(geometry.tiles_per_group)
-        tx = gx[:, None] * side + slot % side
-        ty = gy[:, None] * side + slot // side
-        valid = (tx < tg.tiles_x) & (ty < tg.tiles_y)
-        rects = tg.tile_rects(tg.tile_id(tx, ty).ravel()).reshape(
-            *valid.shape, 4
-        )
-        pair_rects = rects[inverse]                 # (k, slots, 4)
-        pair_valid = valid[inverse]                 # (k, slots)
+        # The (k, side) tile columns and rows of each pair's group, with
+        # their edges clipped to the image as in TileGrid.tile_rects;
+        # columns and rows past the image's edge are invalid.
+        gx, gy = geometry.group_grid.tile_coords(group_assignment.tile_ids)
+        local = np.arange(side)
+        tx = gx[:, None] * side + local
+        ty = gy[:, None] * side + local
+        x0 = (tx * tg.tile_size).astype(np.float64)
+        y0 = (ty * tg.tile_size).astype(np.float64)
+        x1 = np.minimum(x0 + tg.tile_size, float(tg.width))
+        y1 = np.minimum(y0 + tg.tile_size, float(tg.height))
+        valid_cols = tx < tg.tiles_x
 
         # Row-range test accounting, identical to the reference: a pair
-        # is charged one test per group tile whose (clipped) rect row
-        # range overlaps the Gaussian's bounding rectangle.
-        brects = bounding_rects(proj, method)[group_assignment.gaussian_ids]
-        in_row_range = (
-            (pair_rects[:, :, 1] <= brects[:, 3, None])
-            & (pair_rects[:, :, 3] >= brects[:, 1, None])
-            & pair_valid
+        # is charged one test per in-image group tile whose row range
+        # overlaps the Gaussian's bounding rectangle.
+        rows = (ty < tg.tiles_y) & (y0 <= by1[:, None]) & (y1 >= by0[:, None])
+        num_tests = int(
+            np.count_nonzero(rows, axis=1) @ np.count_nonzero(valid_cols, axis=1)
         )
-        num_tests = int(np.count_nonzero(in_row_range))
 
-        # Cull: a slot can only hit where its rect touches the bounding
-        # rectangle on both axes (closed intervals, like the tests).
-        touches = (
-            in_row_range
-            & (pair_rects[:, :, 0] <= brects[:, 2, None])
-            & (pair_rects[:, :, 2] >= brects[:, 0, None])
-        )
-        pair_idx, slot_idx = np.nonzero(touches)
-        hits = pair_rect_hits(
-            proj,
-            group_assignment.gaussian_ids[pair_idx],
-            pair_rects[pair_idx, slot_idx],
-            method,
-        )
+        # Candidates: slots whose row and column both touch the bounding
+        # rectangle (closed intervals, like the tests), in slot order.
+        cols = valid_cols & (x0 <= bx1[:, None]) & (x1 >= bx0[:, None])
+        candidates = np.flatnonzero(rows[:, :, None] & cols[:, None, :])
+        pair_idx, slot = np.divmod(candidates, side * side)
+        row, col = np.divmod(slot, side)
+
+        # Their rectangles, from the row and column edges; stored column
+        # by column, the layout the boundary tests read.
+        at_col = pair_idx * side + col
+        at_row = pair_idx * side + row
+        rects = np.empty((candidates.shape[0], 4), order="F")
+        np.take(x0, at_col, out=rects[:, 0])
+        np.take(y0, at_row, out=rects[:, 1])
+        np.take(x1, at_col, out=rects[:, 2])
+        np.take(y1, at_row, out=rects[:, 3])
+        hits = pair_rect_hits(proj, gauss[pair_idx], rects, method)
         np.bitwise_or.at(
             masks,
             pair_idx[hits],
-            np.left_shift(np.uint64(1), slot_idx[hits].astype(np.uint64)),
+            np.left_shift(np.uint64(1), slot[hits].astype(np.uint64)),
         )
 
     if stats is not None:

@@ -11,7 +11,9 @@ grouped NumPy passes:
 
 * identification and both bitmask levels reuse the established
   vectorized kernels (:func:`repro.tiles.fast.identify_tiles_fast`,
-  :func:`repro.core.bitmask.generate_bitmasks_fast`);
+  :func:`repro.core.bitmask.generate_bitmasks_fast`); each mask level
+  runs the boundary test only on the slots whose tile row and column
+  both touch the Gaussian's bounding rectangle;
 * the group-pair expansion becomes one broadcast shift-and-mask over a
   dense ``(pairs, slots)`` bit matrix
   (:func:`repro.core.hierarchical.expand_group_pairs_fast`);

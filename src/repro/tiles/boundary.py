@@ -143,46 +143,81 @@ def _pair_overlap_obb(
     return ~(sep_x | sep_y | sep_u | sep_v)
 
 
+def _whitened_rect_distance(
+    proj: ProjectedGaussians, pair_ids: np.ndarray, rects: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each rectangle seen from its Gaussian's whitened frame.
+
+    The whitening transform sends the Gaussian's 3-sigma ellipse to the
+    unit circle and the rectangle to a parallelogram.  Returns ``(inside,
+    dist2)`` per pair: whether the origin lies inside that parallelogram,
+    and the squared distance from the origin to its boundary.
+
+    Every per-corner quantity is a flat ``(4, k)`` array, one row per
+    corner, and every formula is written out once as elementwise
+    products and sums in one fixed order.  A corner at offset ``(X, Y)``
+    from the mean whitens to
+
+        wx = (X*u00 + Y*u10) * ia,    wy = (X*u01 + Y*u11) * ib
+
+    with ``u`` the eigenvector matrix (eigenvectors as columns) and
+    ``ia, ib`` the inverse 3-sigma half axes.  A pair's result therefore
+    depends on that pair alone and equals the same arithmetic done one
+    scalar at a time, which ``tests/tiles/test_boundary_blocked.py``
+    checks bit for bit.
+    """
+    k = pair_ids.shape[0]
+    eigvals, eigvecs, means = proj.eigvals, proj.eigvecs, proj.means2d
+    ia = 1.0 / (SIGMA_EXTENT * np.sqrt(np.maximum(eigvals[:, 0][pair_ids], 1e-18)))
+    ib = 1.0 / (SIGMA_EXTENT * np.sqrt(np.maximum(eigvals[:, 1][pair_ids], 1e-18)))
+    u00, u01 = eigvecs[:, 0, 0][pair_ids], eigvecs[:, 0, 1][pair_ids]
+    u10, u11 = eigvecs[:, 1, 0][pair_ids], eigvecs[:, 1, 1][pair_ids]
+    # Rows (x0, x1) and (y0, y1) of offsets from the mean, C-ordered so
+    # that every (4, k) array below is too.
+    columns = np.ascontiguousarray(rects.T)
+    xs = columns[0::2] - means[:, 0][pair_ids]
+    ys = columns[1::2] - means[:, 1][pair_ids]
+
+    # Each product is formed once and broadcast over the corner grid
+    # (y0, y1) x (x0, x1), whose rows are the corners (x0, y0), (x1, y0),
+    # (x0, y1), (x1, y1).  Walking the rectangle's boundary visits them
+    # in the order 0, 1, 3, 2: edge c runs from corner c to corner nxt[c].
+    wx = ((xs * u00)[None] + (ys * u10)[:, None]).reshape(4, k) * ia
+    wy = ((xs * u01)[None] + (ys * u11)[:, None]).reshape(4, k) * ib
+    nxt = [1, 3, 0, 2]
+    ex = wx[nxt] - wx
+    ey = wy[nxt] - wy
+
+    # The origin is inside iff it lies on the same side of all four edges.
+    cross = wx * ey - wy * ex
+    inside = (cross >= 0.0).all(axis=0) | (cross <= 0.0).all(axis=0)
+
+    # Squared distance to the closest point of each edge.
+    seg_len2 = np.maximum(ex * ex + ey * ey, 1e-30)
+    t = np.minimum(np.maximum(-(wx * ex + wy * ey) / seg_len2, 0.0), 1.0)
+    px = wx + t * ex
+    py = wy + t * ey
+    return inside, (px * px + py * py).min(axis=0)
+
+
 def _pair_overlap_ellipse(
     proj: ProjectedGaussians, pair_ids: np.ndarray, rects: np.ndarray
 ) -> np.ndarray:
     """Exact 3-sigma-ellipse vs rectangle intersection.
 
-    Each rectangle is mapped by the whitening transform that sends its
-    Gaussian's ellipse to the unit circle; it becomes a parallelogram,
-    and intersection reduces to ``distance(origin, transformed rect) <= 1``.
+    The rectangle meets the ellipse iff, in the whitened frame, it
+    contains the origin or comes within distance 1 of it.
     """
-    inv_axes = 1.0 / (
-        SIGMA_EXTENT * np.sqrt(np.maximum(proj.eigvals[pair_ids], 1e-18))
-    )
-    corners = np.stack(
-        [
-            rects[:, [0, 1]],
-            rects[:, [2, 1]],
-            rects[:, [2, 3]],
-            rects[:, [0, 3]],
-        ],
-        axis=1,
-    )  # (k, 4, 2)
-    rel = corners - proj.means2d[pair_ids][:, None, :]
-    # Whitening: w = diag(1/(3 sqrt(lambda))) @ U^T @ (p - mu), as a
-    # stacked matmul over the per-pair eigenbases.
-    white = np.matmul(rel, proj.eigvecs[pair_ids]) * inv_axes[:, None, :]
-
-    nxt = np.roll(white, -1, axis=1)
-    edge = nxt - white
-    cross = edge[:, :, 0] * (-white[:, :, 1]) - edge[:, :, 1] * (-white[:, :, 0])
-    inside = np.all(cross >= 0.0, axis=1) | np.all(cross <= 0.0, axis=1)
-
-    seg_len2 = np.maximum(np.sum(edge * edge, axis=2), 1e-30)
-    t = np.clip(-np.sum(white * edge, axis=2) / seg_len2, 0.0, 1.0)
-    closest = white + t[:, :, None] * edge
-    dist2 = np.min(np.sum(closest * closest, axis=2), axis=1)
-
+    inside, dist2 = _whitened_rect_distance(proj, pair_ids, rects)
     return inside | (dist2 <= 1.0)
 
 
 #: Pairs per evaluation of the ellipse test inside :func:`pair_rect_hits`.
+#: The test keeps about a dozen ``(4, k)`` float64 temporaries alive, so a
+#: block of 4096 pairs stays near 1.5 MiB, inside a 2 MiB L2.  Swept on
+#: the two bench scenes (24 frames; GS-TG bitmask / baseline identify in
+#: ms per frame, 2-core Xeon VM): 2048 -> 5.5 / 4.2, 4096 -> 5.0 / 4.1,
+#: 8192 -> 7.2 / 5.7, unblocked -> 8.2 / 7.1.
 _ELLIPSE_BLOCK = 4096
 
 
@@ -208,9 +243,9 @@ def pair_rect_hits(
     Returns
     -------
     ``(k,)`` boolean hit mask, bit-identical to evaluating the scalar
-    :func:`gaussian_rect_hits` pair by pair (the batched formulas perform
-    the same elementwise operations in the same order; the ellipse path's
-    matmul is a stacked version of the scalar one).
+    :func:`gaussian_rect_hits` pair by pair (every method's formulas are
+    elementwise operations on per-pair columns, performed in the same
+    order whatever the batch).
     """
     pair_ids = np.asarray(pair_ids, dtype=np.int64)
     rects = np.asarray(rects, dtype=np.float64)
@@ -225,9 +260,10 @@ def pair_rect_hits(
     if method is BoundaryMethod.OBB:
         return _pair_overlap_obb(proj, pair_ids, rects)
     if method is BoundaryMethod.ELLIPSE:
-        # In blocks: the test's (k, 4, 2) temporaries are ~1 KiB a pair.
-        # Every pair's whitening product is a matmul of its own, so
-        # blocking cannot change a result.
+        # In blocks, so that the test's temporaries stay in cache.
+        # Every operation is elementwise per pair (or a reduction
+        # over one pair's four corners), so blocking cannot change a
+        # result.
         hits = np.empty(pair_ids.shape[0], dtype=bool)
         for start in range(0, pair_ids.shape[0], _ELLIPSE_BLOCK):
             block = slice(start, start + _ELLIPSE_BLOCK)

@@ -39,6 +39,10 @@ from repro.tiles.boundary import BoundaryMethod
 # every run, so `pytest -x` stops at a real regression, never at a draw.
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+# Fresh examples on every run, for the CI fuzz job:
+# `pytest --hypothesis-profile=fuzz --hypothesis-seed=N` (the command
+# line's profile replaces tier1; rerun a failure with the same seed).
+settings.register_profile("fuzz", derandomize=False, print_blob=True)
 
 #: How long processes may take to end by themselves after the last test.
 LEAK_GRACE_S = 10.0

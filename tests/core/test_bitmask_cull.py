@@ -23,7 +23,7 @@ from tests.core.test_bitmask_fast import _assert_tables_equal
 GEOMETRY = GroupGeometry(width=200, height=136, tile_size=16, group_size=64)
 
 
-def _on_borders(seed: int):
+def _on_borders(seed: int, group_size: int = 64):
     """Axis-aligned footprints whose 3-sigma box ends on multiples of 16.
 
     Sigmas are powers of two and means integers, so the bounding
@@ -37,7 +37,7 @@ def _on_borders(seed: int):
         [rng.integers(0, 14, n), rng.integers(0, 10, n)], axis=1
     )
     on_group = rng.random(n) < 0.25
-    borders[on_group] = 64.0 * np.floor(borders[on_group] / 64.0)
+    borders[on_group] = group_size * np.floor(borders[on_group] / group_size)
     side = rng.choice([-1.0, 1.0], (n, 2))
     means = borders + side * 3.0 * sigmas
     proj = make_projected(
@@ -63,12 +63,12 @@ def _generic(seed: int):
     )
 
 
-def _assert_fast_matches_reference(proj, method):
-    assignment = identify_tiles_fast(proj, GEOMETRY.group_grid, method)
+def _assert_fast_matches_reference(proj, method, geometry=GEOMETRY):
+    assignment = identify_tiles_fast(proj, geometry.group_grid, method)
     assert assignment.num_pairs
     want_stats, stats = RenderStats(), RenderStats()
-    want = generate_bitmasks(proj, GEOMETRY, assignment, method, want_stats)
-    table = generate_bitmasks_fast(proj, GEOMETRY, assignment, method, stats)
+    want = generate_bitmasks(proj, geometry, assignment, method, want_stats)
+    table = generate_bitmasks_fast(proj, geometry, assignment, method, stats)
     _assert_tables_equal(table, want)
     assert table.masks.dtype == want.masks.dtype
     assert stats == want_stats
@@ -103,3 +103,17 @@ class TestCullKeepsEveryHit:
                 if mask >> int(slot) & 1
             )
         assert got == want
+
+    @pytest.mark.parametrize("group_size", [32, 64, 128])
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_tiles_per_group(self, method, group_size, seed):
+        """4, 16 and 64 slots per group; every width leaves partial
+        groups along the image's right and bottom edges."""
+        geometry = GroupGeometry(
+            width=200, height=136, tile_size=16, group_size=group_size
+        )
+        assert geometry.tiles_per_group == (group_size // 16) ** 2
+        proj = _on_borders(seed, group_size)
+        _assert_fast_matches_reference(proj, method, geometry)
+        _assert_fast_matches_reference(_generic(seed), method, geometry)

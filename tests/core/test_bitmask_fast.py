@@ -55,6 +55,21 @@ class TestBitmaskFastEquivalence:
         )
         _check(proj, geometry, BoundaryMethod.ELLIPSE, bitmask_method)
 
+    @pytest.mark.parametrize("bitmask_method", list(BoundaryMethod))
+    @pytest.mark.parametrize("group_size", [16, 32, 64])
+    def test_tiles_per_group(self, rng, group_size, bitmask_method):
+        """4, 16 and 64 slots per group, on an image whose last group
+        column and last group row are partial."""
+        camera = Camera(width=77, height=53, fx=70.0, fy=70.0)
+        proj = project(make_cloud(80, rng), camera)
+        geometry = GroupGeometry(
+            width=camera.width, height=camera.height, tile_size=8,
+            group_size=group_size,
+        )
+        assert geometry.tiles_per_group == (group_size // 8) ** 2
+        assert camera.width % group_size and camera.height % group_size
+        _check(proj, geometry, BoundaryMethod.ELLIPSE, bitmask_method)
+
     def test_empty_assignment(self, rng, camera):
         proj = project(make_cloud(10, rng, depth_range=(-20.0, -5.0)), camera)
         geometry = GroupGeometry(
