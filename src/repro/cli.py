@@ -127,6 +127,56 @@ def _add_admission_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_fleet_options(
+    parser: argparse.ArgumentParser, *, backends: int, views: int, clients: int
+) -> None:
+    """The fleet and its client load (``cluster``, ``trace record``)."""
+    parser.add_argument(
+        "--scenes", default="",
+        help="comma-separated scene names for the multi-scene workload "
+        "(default: just --scene)",
+    )
+    parser.add_argument("--views", type=int, default=views, help="orbit views")
+    parser.add_argument(
+        "--backends", type=int, default=backends,
+        help="gateway backend subprocesses to spawn",
+    )
+    parser.add_argument(
+        "--replicate", type=int, default=2,
+        help="replica-set size per scene (clamped to --backends)",
+    )
+    parser.add_argument(
+        "--clients", type=int, default=clients,
+        help="concurrent streaming clients, round-robined over the scenes",
+    )
+    parser.add_argument(
+        "--passes", type=int, default=1,
+        help="times each client streams its orbit (repeat passes hit the "
+        "owner backend's render cache)",
+    )
+    parser.add_argument("--max-pending", type=int, default=64)
+    _add_admission_options(parser)
+    parser.add_argument(
+        "--kill-one", action="store_true",
+        help="SIGKILL the first scene's owner backend mid-stream; the "
+        "run must complete via failover (needs --replicate >= 2)",
+    )
+    parser.add_argument(
+        "--auth-token", default=None,
+        help="shared-secret token for clients, router and backends "
+        "(default: the REPRO_AUTH_TOKEN environment variable)",
+    )
+
+
+def _check_fleet_options(args: argparse.Namespace) -> None:
+    """Refuse a fleet run that cannot start, before any backend spawns."""
+    for flag in ("backends", "replicate", "clients", "passes"):
+        if getattr(args, flag) < 1:
+            raise SystemExit(f"--{flag} must be positive")
+    if args.kill_one and (args.backends < 2 or args.replicate < 2):
+        raise SystemExit("--kill-one needs >= 2 backends and --replicate >= 2")
+
+
 def _make_renderer(args: argparse.Namespace):
     method = BoundaryMethod(args.method)
     if args.pipeline == "gstg":
@@ -447,26 +497,124 @@ def _cluster_scenes(args: argparse.Namespace) -> "list[str]":
     return [args.scene]
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+async def _run_cluster(args, fleet, router, names, serve_http) -> int:
+    """``repro cluster`` with its router up: serve, or drive and report."""
     import asyncio
 
-    from repro.cluster import ClusterMap, LocalFleet, ShardRouter
     from repro.experiments.shm_cache import cloud_fingerprint
+    from repro.cluster.supervisor import drive_fleet
     from repro.scenes.trajectory import orbit_cameras
     from repro.serve import AsyncGatewayClient, verify_streamed_images
 
-    if args.backends < 1:
-        raise SystemExit("--backends must be positive")
-    if args.replicate < 1:
-        raise SystemExit("--replicate must be positive")
-    if args.clients < 1:
-        raise SystemExit("--clients must be positive")
-    if args.passes < 1:
-        raise SystemExit("--passes must be positive")
-    if args.kill_one and args.replicate < 2:
-        raise SystemExit("--kill-one needs --replicate >= 2 to survive")
-    if args.kill_one and args.backends < 2:
-        raise SystemExit("--kill-one needs at least 2 backends")
+    cluster_map = router.topology
+    print(
+        f"shard router on {router.host}:{router.tcp_port} over "
+        f"{len(cluster_map)} backends (replication {cluster_map.replication})"
+    )
+    if serve_http:
+        await router.start_http(port=args.http_port)
+        print(
+            f"HTTP front end on http://{router.host}:{router.http_port}"
+            f" — try: curl 'http://{router.host}:{router.http_port}"
+            f"/stream?scene={names[0]}&frames=2'"
+        )
+    if args.listen:
+        print("serving until interrupted (Ctrl-C to stop)")
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except (NotImplementedError, RuntimeError):
+                break  # non-Unix loop: Ctrl-C still works
+        await stop.wait()
+        if args.drain_grace > 0:
+            clean = await router.drain(args.drain_grace)
+            print(
+                "drained cleanly"
+                if clean
+                else "drain grace expired with requests in flight"
+            )
+        return 0
+    scenes = [
+        load_scene(name, resolution_scale=args.scale, seed=args.seed)
+        for name in names
+    ]
+    for name, scene in zip(names, scenes):
+        owners = cluster_map.assignment([cloud_fingerprint(scene.cloud)])
+        print(f"scene {name}: replicas {list(owners.values())[0]}")
+    run = await drive_fleet(
+        router,
+        fleet,
+        [(scene.cloud, list(orbit_cameras(scene, args.views))) for scene in scenes],
+        clients=args.clients,
+        passes=args.passes,
+        request_class=args.request_class,
+        kill_owner=args.kill_one,
+    )
+    if run.victim is not None:
+        print(f"killed {run.victim} (owner of {names[0]}) mid-stream")
+    frames = sum(run.frames)
+    async with AsyncGatewayClient(
+        router.host, router.tcp_port, auth_token=router.auth_token
+    ) as client:
+        stats = await client.stats_dict()
+    print(
+        f"streamed {frames} frames to {args.clients} clients over "
+        f"{len(names)} scene(s) x {args.passes} pass(es) in "
+        f"{run.wall_s:.2f}s ({frames / max(run.wall_s, 1e-9):.2f} frames/s)"
+    )
+    print(
+        f"router: {router.stats.failovers} failovers, "
+        f"{router.stats.rejected} rejects, "
+        f"{router.stats.errors} errors; cluster engine renders: "
+        f"{stats.get('engine_renders', 0)} of "
+        f"{stats.get('requests', 0)} requests"
+    )
+    for backend_id, entry in stats["gateway"]["backends"].items():
+        state = "up" if entry["up"] else "DOWN"
+        detail = entry.get("service", {})
+        print(
+            f"  {backend_id}: {state}, "
+            f"renders={detail.get('engine_renders', '-')}, "
+            f"cache_hits={detail.get('cache_hits', '-')}"
+        )
+    if run.victim is not None and not router.stats.failovers:
+        print("FAIL: victim was killed but no failover happened")
+        return 1
+    if args.verify:
+        failures: "list[str]" = []
+        for index, scene in enumerate(scenes):
+            orbit = list(orbit_cameras(scene, args.views))
+            per_client = [
+                run.images[c]
+                for c in range(args.clients)
+                if c % len(scenes) == index
+            ]
+            # Each client streamed `passes` copies of the orbit.
+            expanded = orbit * args.passes
+            failures += verify_streamed_images(
+                _make_renderer(args), scene.cloud, expanded, per_client
+            )
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        if failures:
+            return 1
+        print(
+            f"verified: all {frames} streamed frames bit-identical "
+            "to direct engine renders"
+            + (" (including across the failover)" if run.victim else "")
+        )
+    return 0
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.cluster import LocalFleet
+    from repro.cluster.supervisor import fleet_router
+
+    _check_fleet_options(args)
     names = _cluster_scenes(args)
     replicate = min(args.replicate, args.backends)
     serve_http = args.http or args.listen
@@ -507,154 +655,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ),
     )
 
-    async def drive(router, cluster_map, scenes) -> "tuple":
-        """Concurrent multi-scene client load, with optional mid-run kill."""
-        first_frame = asyncio.Event()
-
-        async def one_client(index: int) -> "list[np.ndarray]":
-            scene = scenes[index % len(scenes)]
-            orbit = list(orbit_cameras(scene, args.views))
-            client = await AsyncGatewayClient.connect(
-                router.host, router.tcp_port, auth_token=args.auth_token
-            )
-            images: "list[np.ndarray]" = []
-            try:
-                for _ in range(args.passes):
-                    async for _, result in client.stream_trajectory(
-                        scene.cloud,
-                        orbit,
-                        request_class=args.request_class,
-                    ):
-                        images.append(result.image)
-                        if index == 0:
-                            first_frame.set()
-            finally:
-                await client.close()
-            return images
-
-        async def killer() -> "str | None":
-            if not args.kill_one:
-                return None
-            await first_frame.wait()
-            victim = cluster_map.owner(
-                cloud_fingerprint(scenes[0].cloud)
-            ).backend_id
-            print(f"killing {victim} (owner of {names[0]}) mid-stream ...")
-            await asyncio.get_running_loop().run_in_executor(
-                None, fleet.kill, victim
-            )
-            return victim
-
-        start = time.perf_counter()
-        results = await asyncio.gather(
-            *(one_client(i) for i in range(args.clients)), killer()
-        )
-        wall_s = time.perf_counter() - start
-        return list(results[:-1]), results[-1], wall_s
-
     async def main() -> int:
-        specs = await asyncio.get_running_loop().run_in_executor(
-            None, fleet.start
-        )
-        cluster_map = ClusterMap(specs, replication=replicate)
-        router = ShardRouter(
-            cluster_map,
+        async with fleet_router(
+            fleet,
+            replication=replicate,
+            port=args.port,
             admission=_make_admission(args),
             max_scenes=max(len(names), 8),
             auth_token=args.auth_token,
-        )
-        await router.start(port=args.port)
-        print(
-            f"shard router on {router.host}:{router.tcp_port} over "
-            f"{len(specs)} backends (replication {replicate})"
-        )
-        if serve_http:
-            await router.start_http(port=args.http_port)
-            print(
-                f"HTTP front end on http://{router.host}:{router.http_port}"
-                f" — try: curl 'http://{router.host}:{router.http_port}"
-                f"/stream?scene={names[0]}&frames=2'"
-            )
-        try:
-            if args.listen:
-                print("serving until interrupted (Ctrl-C to stop)")
-                stop = asyncio.Event()
-                loop = asyncio.get_running_loop()
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    try:
-                        loop.add_signal_handler(signum, stop.set)
-                    except (NotImplementedError, RuntimeError):
-                        break  # non-Unix loop: Ctrl-C still works
-                await stop.wait()
-                if args.drain_grace > 0:
-                    clean = await router.drain(args.drain_grace)
-                    print(
-                        "drained cleanly"
-                        if clean
-                        else "drain grace expired with requests in flight"
-                    )
-                return 0
-            scenes = [
-                load_scene(name, resolution_scale=args.scale, seed=args.seed)
-                for name in names
-            ]
-            for name, scene in zip(names, scenes):
-                owners = cluster_map.assignment(
-                    [cloud_fingerprint(scene.cloud)]
-                )
-                print(f"scene {name}: replicas {list(owners.values())[0]}")
-            images, victim, wall_s = await drive(router, cluster_map, scenes)
-            frames = sum(len(i) for i in images)
-            stats = await router._stats_payload()
-            print(
-                f"streamed {frames} frames to {args.clients} clients over "
-                f"{len(names)} scene(s) x {args.passes} pass(es) in "
-                f"{wall_s:.2f}s ({frames / max(wall_s, 1e-9):.2f} frames/s)"
-            )
-            print(
-                f"router: {router.stats.failovers} failovers, "
-                f"{router.stats.rejected} rejects, "
-                f"{router.stats.errors} errors; cluster engine renders: "
-                f"{stats['service'].get('engine_renders', 0)} of "
-                f"{stats['service'].get('requests', 0)} requests"
-            )
-            for backend_id, entry in stats["gateway"]["backends"].items():
-                state = "up" if entry["up"] else "DOWN"
-                detail = entry.get("service", {})
-                print(
-                    f"  {backend_id}: {state}, "
-                    f"renders={detail.get('engine_renders', '-')}, "
-                    f"cache_hits={detail.get('cache_hits', '-')}"
-                )
-            if victim is not None and not router.stats.failovers:
-                print("FAIL: victim was killed but no failover happened")
-                return 1
-            if args.verify:
-                failures: "list[str]" = []
-                for index, scene in enumerate(scenes):
-                    orbit = list(orbit_cameras(scene, args.views))
-                    per_client = [
-                        images[c]
-                        for c in range(args.clients)
-                        if c % len(scenes) == index
-                    ]
-                    # Each client streamed `passes` copies of the orbit.
-                    expanded = orbit * args.passes
-                    failures += verify_streamed_images(
-                        _make_renderer(args), scene.cloud, expanded, per_client
-                    )
-                for failure in failures:
-                    print(f"FAIL: {failure}")
-                if failures:
-                    return 1
-                print(
-                    f"verified: all {frames} streamed frames bit-identical "
-                    "to direct engine renders"
-                    + (" (including across the failover)" if victim else "")
-                )
-            return 0
-        finally:
-            await router.close()
+        ) as router:
+            return await _run_cluster(args, fleet, router, names, serve_http)
 
     # A SIGTERM (timeout(1), orchestrators) must still run the finally
     # below, or the fleet's subprocesses outlive their supervisor.
@@ -747,20 +757,12 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     import itertools
     from pathlib import Path
 
-    from repro.cluster import ClusterMap, LocalFleet, ShardRouter
-    from repro.experiments.shm_cache import cloud_fingerprint
+    from repro.cluster import LocalFleet
+    from repro.cluster.supervisor import drive_fleet, fleet_router
     from repro.scenes.trajectory import orbit_cameras
-    from repro.serve import AsyncGatewayClient
     from repro.trace import Tracer, load_spans, stitch
 
-    if args.backends < 1:
-        raise SystemExit("--backends must be positive")
-    if args.clients < 1:
-        raise SystemExit("--clients must be positive")
-    if args.passes < 1:
-        raise SystemExit("--passes must be positive")
-    if args.kill_one and (args.backends < 2 or args.replicate < 2):
-        raise SystemExit("--kill-one needs >= 2 backends and --replicate >= 2")
+    _check_fleet_options(args)
     trace_dir = Path(args.dir)
     trace_dir.mkdir(parents=True, exist_ok=True)
     stale = sorted(trace_dir.glob("*.jsonl"))
@@ -780,78 +782,46 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         trace_dir=trace_dir,
     )
     trace_ids = (f"cli-{n:08x}" for n in itertools.count(1))
+    scenes = [
+        load_scene(name, resolution_scale=args.scale, seed=args.seed)
+        for name in names
+    ]
 
     async def main() -> int:
-        specs = await asyncio.get_running_loop().run_in_executor(
-            None, fleet.start
-        )
-        cluster_map = ClusterMap(specs, replication=replicate)
         router_tracer = Tracer(node="router", sink=trace_dir / "router.jsonl")
-        router = ShardRouter(
-            cluster_map,
-            admission=_make_admission(args),
-            max_scenes=max(len(names), 8),
-            auth_token=args.auth_token,
-            tracer=router_tracer,
-        )
-        await router.start(port=0)
-        scenes = [
-            load_scene(name, resolution_scale=args.scale, seed=args.seed)
-            for name in names
-        ]
-        first_frame = asyncio.Event()
-
-        async def one_client(index: int) -> int:
-            scene = scenes[index % len(scenes)]
-            orbit = list(orbit_cameras(scene, args.views))
-            client = await AsyncGatewayClient.connect(
-                router.host, router.tcp_port, auth_token=args.auth_token
-            )
-            frames = 0
-            try:
-                for _ in range(args.passes):
-                    async for _, _result in client.stream_trajectory(
-                        scene.cloud,
-                        orbit,
-                        request_class=args.request_class,
-                        trace=next(trace_ids),
-                    ):
-                        frames += 1
-                        if index == 0:
-                            first_frame.set()
-            finally:
-                await client.close()
-            return frames
-
-        async def killer() -> "str | None":
-            if not args.kill_one:
-                return None
-            await first_frame.wait()
-            victim = cluster_map.owner(
-                cloud_fingerprint(scenes[0].cloud)
-            ).backend_id
-            print(f"killing {victim} (owner of {names[0]}) mid-stream ...")
-            await asyncio.get_running_loop().run_in_executor(
-                None, fleet.kill, victim
-            )
-            return victim
-
         try:
-            results = await asyncio.gather(
-                *(one_client(i) for i in range(args.clients)), killer()
-            )
+            async with fleet_router(
+                fleet,
+                replication=replicate,
+                admission=_make_admission(args),
+                max_scenes=max(len(names), 8),
+                auth_token=args.auth_token,
+                tracer=router_tracer,
+            ) as router:
+                run = await drive_fleet(
+                    router,
+                    fleet,
+                    [
+                        (scene.cloud, list(orbit_cameras(scene, args.views)))
+                        for scene in scenes
+                    ],
+                    clients=args.clients,
+                    passes=args.passes,
+                    request_class=args.request_class,
+                    kill_owner=args.kill_one,
+                    trace_ids=trace_ids,
+                    keep_images=False,
+                )
         finally:
-            await router.close()
             router_tracer.close()
-        frames = sum(results[:-1])
-        victim = results[-1]
-        if victim is not None and not router.stats.failovers:
+        if run.victim is not None and not router.stats.failovers:
             print("FAIL: victim was killed but no failover happened")
             return 1
         print(
-            f"recorded {frames} streamed frames across {args.clients} "
-            f"client(s), {len(names)} scene(s), {args.backends} backend(s)"
-            + (f"; failed over from {victim}" if victim else "")
+            f"recorded {sum(run.frames)} streamed frames across "
+            f"{args.clients} client(s), {len(names)} scene(s), "
+            f"{args.backends} backend(s)"
+            + (f"; failed over from {run.victim}" if run.victim else "")
         )
         return 0
 
@@ -1115,33 +1085,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(cluster)
     _add_renderer_options(cluster)
-    cluster.add_argument(
-        "--backends", type=int, default=3,
-        help="gateway backend subprocesses to spawn",
-    )
-    cluster.add_argument(
-        "--replicate", type=int, default=2,
-        help="replica-set size per scene (clamped to --backends)",
-    )
-    cluster.add_argument(
-        "--scenes", default="",
-        help="comma-separated scene names for the multi-scene workload "
-        "(default: just --scene)",
-    )
-    cluster.add_argument("--views", type=int, default=8, help="orbit views")
-    cluster.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent clients, round-robined over the scenes",
-    )
-    cluster.add_argument(
-        "--passes", type=int, default=1,
-        help="times each client streams its orbit (repeat passes hit the "
-        "owner backend's render cache)",
-    )
+    _add_fleet_options(cluster, backends=3, views=8, clients=4)
     cluster.add_argument("--batch-size", type=int, default=8)
     cluster.add_argument("--max-wait-ms", type=float, default=2.0)
-    cluster.add_argument("--max-pending", type=int, default=64)
-    _add_admission_options(cluster)
     cluster.add_argument(
         "--cache-frames", type=int, default=0,
         help="per-backend render-cache capacity in frames (0 = unbounded)",
@@ -1149,11 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--no-render-cache", action="store_true",
         help="disable the backends' shared render caches",
-    )
-    cluster.add_argument(
-        "--auth-token", default=None,
-        help="shared-secret token for clients, router and backends "
-        "(default: the REPRO_AUTH_TOKEN environment variable)",
     )
     cluster.add_argument(
         "--listen", action="store_true",
@@ -1178,11 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--http-port", type=int, default=0,
         help="router HTTP port (0 picks a free one)",
-    )
-    cluster.add_argument(
-        "--kill-one", action="store_true",
-        help="SIGKILL the first scene's owner backend mid-stream; the "
-        "run must complete via failover (needs --replicate >= 2)",
     )
     cluster.add_argument(
         "--verify", action="store_true",
@@ -1229,39 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--append", action="store_true",
         help="add to an existing capture instead of refusing it",
     )
-    record.add_argument(
-        "--scenes", default="",
-        help="comma-separated scene names (default: just --scene)",
-    )
-    record.add_argument("--views", type=int, default=4, help="orbit views")
-    record.add_argument(
-        "--backends", type=int, default=2,
-        help="gateway backend subprocesses to spawn",
-    )
-    record.add_argument(
-        "--replicate", type=int, default=2,
-        help="replica-set size per scene (clamped to --backends)",
-    )
-    record.add_argument(
-        "--clients", type=int, default=2,
-        help="concurrent streaming clients, round-robined over the scenes",
-    )
-    record.add_argument(
-        "--passes", type=int, default=1,
-        help="times each client streams its orbit",
-    )
-    record.add_argument("--max-pending", type=int, default=64)
-    _add_admission_options(record)
-    record.add_argument(
-        "--kill-one", action="store_true",
-        help="SIGKILL the first scene's owner backend mid-stream so the "
-        "capture includes a failover (needs --replicate >= 2)",
-    )
-    record.add_argument(
-        "--auth-token", default=None,
-        help="shared-secret token for clients, router and backends "
-        "(default: the REPRO_AUTH_TOKEN environment variable)",
-    )
+    _add_fleet_options(record, backends=2, views=4, clients=2)
     record.set_defaults(func=_cmd_trace_record)
 
     replay = trace_sub.add_parser(

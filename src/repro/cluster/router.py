@@ -67,6 +67,10 @@ An optional HTTP front end (:meth:`ShardRouter.start_http`) proxies
 ``/render`` and ``/stream`` to the owner backend's HTTP adapter —
 chunked multi-frame responses stream straight through — and serves
 cluster-level ``/healthz`` and ``/stats``.
+
+The client-facing half — connections, HELLO/AUTH, admission, drain,
+the shared HTTP routes — is :class:`repro.serve.server.WireServer`,
+the same core the gateway runs on; this module is the routing half.
 """
 
 from __future__ import annotations
@@ -76,19 +80,13 @@ import itertools
 import socket
 import time
 from dataclasses import asdict, dataclass
-from urllib.parse import parse_qsl, urlsplit
 
 from repro.experiments.shm_cache import cloud_fingerprint
 from repro.serve import protocol
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionRejected,
-    AdmissionTicket,
-)
+from repro.serve.admission import AdmissionController
 from repro.serve.auth import resolve_auth_token
-from repro.serve.gateway import authenticate_reader, http_reply, read_http_get
 from repro.serve.protocol import ErrorCode, Frame, MessageType, ProtocolError
-from repro.trace.tracer import NULL_TRACER
+from repro.serve.server import WireServer, _Connection, http_reply
 
 from repro.cluster.health import HealthMonitor
 from repro.cluster.topology import BackendSpec, ClusterMap
@@ -452,18 +450,7 @@ class BackendLink:
             await asyncio.gather(self._read_task, return_exceptions=True)
 
 
-class _ClientConn:
-    """Per-client-connection state (mirrors the gateway's)."""
-
-    __slots__ = ("writer", "wlock", "tasks")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.wlock = asyncio.Lock()
-        self.tasks: "dict[int, asyncio.Task]" = {}
-
-
-class ShardRouter:
+class ShardRouter(WireServer):
     """Health-aware shard router over N gateway backends.
 
     Parameters
@@ -526,6 +513,8 @@ class ShardRouter:
         Stable id stamped on the router's spans and ``/metrics``.
     """
 
+    role = "router"
+
     def __init__(
         self,
         cluster_map: ClusterMap,
@@ -542,83 +531,30 @@ class ShardRouter:
         tracer=None,
         node_id: str = "router",
     ) -> None:
-        if admission is None:
-            if max_pending < 1:
-                raise ValueError("max_pending must be positive")
-            admission = AdmissionController(max_pending)
-        if max_scenes < 1:
-            raise ValueError("max_scenes must be positive")
         if request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
-        if write_timeout is not None and write_timeout <= 0:
-            raise ValueError("write_timeout must be positive (or None)")
+        super().__init__(
+            RouterStats(),
+            host=host,
+            max_pending=max_pending,
+            admission=admission,
+            max_scenes=max_scenes,
+            auth_token=auth_token,
+            write_timeout=write_timeout,
+            tracer=tracer,
+            node_id=node_id,
+        )
         self.topology = cluster_map
-        self.host = host
-        self.admission = admission
-        self.max_pending = admission.capacity
-        self.max_scenes = max_scenes
-        self.auth_token = resolve_auth_token(auth_token)
         self.backend_auth_token = (
             resolve_auth_token(backend_auth_token) or self.auth_token
         )
         self.request_timeout = request_timeout
-        self.write_timeout = write_timeout
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.node_id = node_id
         self._own_monitor = monitor is None
         self.health = monitor or HealthMonitor(
             cluster_map, auth_token=self.backend_auth_token
         )
-        self.stats = RouterStats()
         self._links: "dict[str, BackendLink]" = {}
         self._scene_frames: "dict[str, bytes]" = {}
-        self._server: "asyncio.base_events.Server | None" = None
-        self._http_server: "asyncio.base_events.Server | None" = None
-        self._conn_tasks: "set[asyncio.Task]" = set()
-        self._conns: "set[_ClientConn]" = set()
-        self._closing = False
-        self._draining = False
-        self._drain_hint_ms: "int | None" = None
-
-    @property
-    def _pending(self) -> int:
-        """In-flight client requests (the admission controller's count)."""
-        return self.admission.total_pending
-
-    def _admit(self, request_class: "str | None", *, stream: bool) -> AdmissionTicket:
-        """Admit one request at the router's edge or raise.
-
-        Mirrors the gateway's helper: a shutting-down router answers
-        503, an admission refusal is counted in ``stats.rejected`` and
-        re-raised (it reaches the client as a 429 ERROR carrying the
-        controller's ``retry_after_ms`` hint), and an admitted request
-        is counted before any further header decoding.
-        """
-        if self._closing:
-            raise ProtocolError(
-                "router is shutting down", code=ErrorCode.SHUTTING_DOWN
-            )
-        if self._draining:
-            raise ProtocolError(
-                "router is draining",
-                code=ErrorCode.SHUTTING_DOWN,
-                retry_after_ms=self._drain_hint_ms,
-                draining=True,
-            )
-        try:
-            ticket = self.admission.admit(request_class)
-        except AdmissionRejected:
-            self.stats.rejected += 1
-            raise
-        self.stats.requests += 1
-        if stream:
-            self.stats.streams += 1
-        return ticket
-
-    def _observe(self, request_class: str, latency_s: float) -> None:
-        """Feed one relay latency to the slow-timescale controller."""
-        if self.admission.observe(request_class, latency_s):
-            self.admission.adapt()
 
     def metrics_dict(self) -> dict:
         """The METRICS / ``/metrics`` snapshot for the router node.
@@ -638,112 +574,21 @@ class ShardRouter:
             **self.tracer.metrics.snapshot(),
         }
 
-    def traces_dict(
-        self, *, trace: "str | None" = None, limit: "int | None" = None
-    ) -> dict:
-        """The ``/traces`` snapshot: the collector ring grouped by id."""
-        spans = self.tracer.spans(trace=trace, limit=limit)
-        grouped: "dict[str, list[dict]]" = {}
-        for span in spans:
-            grouped.setdefault(span["trace"], []).append(span)
-        return {"node": self.node_id, "traces": grouped}
-
-    # -- lifecycle -------------------------------------------------------
+    # -- lifecycle: the health monitor and the backend links -------------
     async def start(self, port: int = 0) -> None:
         """Start the TCP listener; run the owned health monitor."""
-        self._server = await asyncio.start_server(
-            self._handle_conn, host=self.host, port=port
-        )
+        await super().start(port)
         if self._own_monitor:
             self.health.start()
 
-    async def start_http(self, port: int = 0) -> None:
-        """Start the HTTP front end (health, stats, backend proxy)."""
-        self._http_server = await asyncio.start_server(
-            self._handle_http, host=self.host, port=port
-        )
-
-    @property
-    def tcp_port(self) -> int:
-        """The TCP listener's bound port (after :meth:`start`)."""
-        assert self._server is not None, "router not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def http_port(self) -> int:
-        """The HTTP listener's bound port (after :meth:`start_http`)."""
-        assert self._http_server is not None, "HTTP front end not started"
-        return self._http_server.sockets[0].getsockname()[1]
-
-    async def drain(
-        self, grace: float = 30.0, *, retry_after_ms: "int | None" = None
-    ) -> bool:
-        """Graceful shutdown: finish in-flight relays, refuse new work.
-
-        Mirrors :meth:`repro.serve.gateway.RenderGateway.drain`: the
-        listeners close, new RENDER/STREAM requests are answered 503
-        with ``retry_after_ms`` (default the grace period) and
-        ``draining: true``, and in-flight relays — including their
-        failover retries — get up to ``grace`` seconds to finish.
-        Clients still connected then receive a best-effort BYE before
-        the hard :meth:`close`.  Returns True when everything in
-        flight completed inside the grace period.
-        """
-        if grace <= 0:
-            raise ValueError("grace must be positive")
-        self._draining = True
-        self._drain_hint_ms = (
-            max(1, int(grace * 1e3)) if retry_after_ms is None
-            else int(retry_after_ms)
-        )
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-        deadline = time.monotonic() + grace
-        while (
-            not self._closing
-            and self.admission.total_pending > 0
-            and time.monotonic() < deadline
-        ):
-            await asyncio.sleep(0.02)
-        drained = self.admission.total_pending == 0
-        for conn in list(self._conns):
-            try:
-                await self._send(
-                    conn,
-                    protocol.encode_frame(MessageType.BYE, {"draining": True}),
-                )
-            except (ConnectionError, OSError):
-                pass
-        await self.close()
-        return drained
-
     async def close(self) -> None:
         """Stop listeners, cancel in-flight work, close backend links."""
-        self._closing = True
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await super().close()
         if self._own_monitor:
             await self.health.close()
         for link in self._links.values():
             await link.close()
         self._links.clear()
-        for server in (self._server, self._http_server):
-            if server is not None:
-                await server.wait_closed()
-
-    async def __aenter__(self) -> "ShardRouter":
-        if self._server is None:
-            await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
 
     # -- backend selection ----------------------------------------------
     def _link(self, spec: BackendSpec) -> BackendLink:
@@ -876,142 +721,32 @@ class ShardRouter:
             ) from None
         return frame
 
-    # -- client-facing TCP protocol --------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client connection: HELLO, AUTH?, dispatch until EOF/BYE."""
-        self.stats.connections += 1
-        conn = _ClientConn(writer)
-        self._conns.add(conn)
-        handler = asyncio.current_task()
-        if handler is not None:
-            self._conn_tasks.add(handler)
-        try:
-            await self._send(
-                conn,
-                protocol.encode_frame(
-                    MessageType.HELLO,
-                    {
-                        "version": protocol.PROTOCOL_VERSION,
-                        "max_pending": self.max_pending,
-                        "classes": list(self.admission.classes()),
-                        "default_class": self.admission.default_class,
-                        "role": "router",
-                        "backends": len(self.topology),
-                        "replication": self.topology.replication,
-                        "scenes": [],
-                        "auth_required": self.auth_token is not None,
-                    },
-                ),
-            )
-            if not await self._authenticate(conn, reader):
-                return
-            while True:
-                try:
-                    frame = await protocol.read_frame(reader)
-                except ProtocolError as exc:
-                    self.stats.errors += 1
-                    await self._send_error(conn, None, exc.code, str(exc))
-                    if exc.fatal:
-                        break
-                    continue
-                if frame is None or frame.type is MessageType.BYE:
-                    break
-                await self._dispatch(conn, frame)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        except asyncio.CancelledError:
-            pass  # router shutdown; fall through to cleanup
-        finally:
-            self._conns.discard(conn)
-            if handler is not None:
-                self._conn_tasks.discard(handler)
-            for task in conn.tasks.values():
-                if not task.done():
-                    task.cancel()
-                    self.stats.cancelled_requests += 1
-            if conn.tasks:
-                await asyncio.gather(
-                    *conn.tasks.values(), return_exceptions=True
-                )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    # -- what the core asks of a router ----------------------------------
+    def _hello_extras(self) -> dict:
+        return {
+            "classes": list(self.admission.classes()),
+            "default_class": self.admission.default_class,
+            "role": "router",
+            "backends": len(self.topology),
+            "replication": self.topology.replication,
+            "scenes": [],
+            "auth_required": self.auth_token is not None,
+        }
 
-    async def _authenticate(
-        self, conn: _ClientConn, reader: asyncio.StreamReader
-    ) -> bool:
-        """The gateway's AUTH handshake, applied at the router's edge."""
-        ok, refusal = await authenticate_reader(
-            reader, self.auth_token, "router"
-        )
-        if refusal is not None:
-            code, message = refusal
-            if code is ErrorCode.UNAUTHORIZED:
-                self.stats.auth_failures += 1
-            else:
-                self.stats.errors += 1
-            await self._send_error(conn, None, code, message)
-        return ok
+    def _healthz(self) -> "tuple[int, dict]":
+        up = [
+            spec.backend_id
+            for spec in self.topology.backends
+            if self.health.is_up(spec.backend_id)
+        ]
+        return 200 if up else 503, {
+            "status": "ok" if up else "no backend up",
+            "role": "router",
+            "backends_up": up,
+            "backends_total": len(self.topology),
+        }
 
-    async def _dispatch(self, conn: _ClientConn, frame: Frame) -> None:
-        """Route one client message; answer errors inline."""
-        try:
-            if frame.type is MessageType.SCENE:
-                await self._on_scene(conn, frame)
-            elif frame.type in (MessageType.RENDER, MessageType.STREAM):
-                self._on_request(conn, frame)
-            elif frame.type is MessageType.CANCEL:
-                task = conn.tasks.get(frame.header.get("request_id"))
-                if task is not None and not task.done():
-                    task.cancel()
-                    self.stats.cancelled_requests += 1
-            elif frame.type is MessageType.AUTH:
-                pass  # unsolicited token on an unkeyed router: ignore
-            elif frame.type is MessageType.STATS:
-                await self._send(
-                    conn,
-                    protocol.encode_frame(
-                        MessageType.STATS_OK, await self._stats_payload()
-                    ),
-                )
-            elif frame.type is MessageType.METRICS:
-                await self._send(
-                    conn,
-                    protocol.encode_frame(
-                        MessageType.METRICS_OK, self.metrics_dict()
-                    ),
-                )
-            else:
-                raise ProtocolError(
-                    f"unexpected message type {frame.type.name} from a client"
-                )
-        except ProtocolError as exc:
-            if exc.code is not ErrorCode.REJECTED:
-                self.stats.errors += 1
-            await self._send_error(
-                conn,
-                frame.header.get("request_id"),
-                exc.code,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-                draining=exc.draining,
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self.stats.errors += 1
-            await self._send_error(
-                conn,
-                frame.header.get("request_id"),
-                ErrorCode.INTERNAL,
-                f"internal dispatch failure: {exc}",
-            )
-
-    async def _on_scene(self, conn: _ClientConn, frame: Frame) -> None:
+    async def _on_scene(self, conn: _Connection, frame: Frame) -> None:
         """SCENE: fingerprint, cache the payload, replicate, SCENE_OK.
 
         The cloud is decoded only to learn its content fingerprint (the
@@ -1053,88 +788,30 @@ class ShardRouter:
             protocol.encode_frame(MessageType.SCENE_OK, {"scene_id": scene_id}),
         )
 
-    def _on_request(self, conn: _ClientConn, frame: Frame) -> None:
-        """RENDER / STREAM: admit (or 429) and spawn the relay task."""
+    def _fulfil(
+        self, conn, request_id, frame, request_class, deadline, trace,
+        client_trace,
+    ):
+        """Check the scene id and camera(s) only: the backend decodes."""
         header = frame.header
-        request_id = header.get("request_id")
-        if not isinstance(request_id, int):
-            raise ProtocolError("request_id must be an integer")
-        if request_id in conn.tasks:
-            raise ProtocolError(f"request_id {request_id} is already in flight")
-        request_class = self.admission.resolve(header.get("class"))
-        # The requester's trace id (validated; None when absent).  Only
-        # this id is ever forwarded to a backend or echoed to the
-        # client; router-minted ids stay router-local.
-        client_trace = protocol.trace_from_header(header)
-        tracer = self.tracer
-        trace = client_trace
-        if tracer.enabled and trace is None:
-            trace = tracer.new_trace_id()
-        admit_start = tracer.now() if tracer.enabled else 0.0
-        try:
-            ticket = self._admit(
-                request_class, stream=frame.type is MessageType.STREAM
-            )
-        except BaseException:
-            if tracer.enabled:
-                tracer.record(
-                    "admission",
-                    trace=trace,
-                    start=admit_start,
-                    end=tracer.now(),
-                    attrs={"admitted": False, "class": request_class},
-                )
-            raise
-        if tracer.enabled:
-            tracer.record(
-                "admission",
-                trace=trace,
-                start=admit_start,
-                end=tracer.now(),
-                attrs={"admitted": True, "class": request_class},
-            )
-        try:
-            scene_id = header.get("scene_id")
-            if not isinstance(scene_id, str):
-                raise ProtocolError("scene_id must be a string")
-            # Pin the deadline the moment the request is admitted: the
-            # budget on the wire is relative to *arrival here*, and
-            # every backend attempt below is handed only what is left.
-            deadline = protocol.deadline_from_header(header)
-            if frame.type is MessageType.RENDER:
-                camera = header.get("camera")
-                if not isinstance(camera, dict):
-                    raise ProtocolError("RENDER needs a camera object")
-                coroutine = self._serve_render(
-                    conn, request_id, scene_id, camera, request_class,
-                    deadline, trace=trace, client_trace=client_trace,
-                )
-            else:
-                cameras = header.get("cameras")
-                if not isinstance(cameras, list) or not cameras:
-                    raise ProtocolError("STREAM needs a non-empty camera list")
-                coroutine = self._serve_stream(
-                    conn, request_id, scene_id, cameras, request_class,
-                    deadline, trace=trace, client_trace=client_trace,
-                )
-            task = asyncio.ensure_future(coroutine)
-        except BaseException:
-            ticket.release()
-            raise
-        conn.tasks[request_id] = task
-        task.add_done_callback(
-            lambda _t, _conn=conn, _rid=request_id, _ticket=ticket: (
-                self._request_done(_conn, _rid, _ticket)
-            )
+        scene_id = header.get("scene_id")
+        if not isinstance(scene_id, str):
+            raise ProtocolError("scene_id must be a string")
+        stream = frame.type is MessageType.STREAM
+        if stream:
+            cameras = header.get("cameras")
+            if not isinstance(cameras, list) or not cameras:
+                raise ProtocolError("STREAM needs a non-empty camera list")
+        else:
+            cameras = header.get("camera")
+            if not isinstance(cameras, dict):
+                raise ProtocolError("RENDER needs a camera object")
+        return self._route(
+            conn, request_id, scene_id, cameras, request_class, deadline,
+            trace, client_trace, stream=stream,
         )
 
-    def _request_done(
-        self, conn: _ClientConn, request_id: int, ticket: AdmissionTicket
-    ) -> None:
-        ticket.release()
-        conn.tasks.pop(request_id, None)
-
-    async def _no_replica(self, conn: _ClientConn, request_id: int) -> None:
+    async def _no_replica(self, conn: _Connection, request_id: int) -> None:
         """Answer the no-replica-up condition: an immediate 503."""
         self.stats.no_replica += 1
         self.stats.errors += 1
@@ -1145,213 +822,84 @@ class ShardRouter:
             "no replica is up for this scene",
         )
 
-    async def _serve_render(
+    async def _route(
         self,
-        conn: _ClientConn,
+        conn: _Connection,
         request_id: int,
         scene_id: str,
-        camera: dict,
+        cameras,
         request_class: str,
-        deadline: "float | None" = None,
-        trace: "str | None" = None,
-        client_trace: "str | None" = None,
+        deadline: "float | None",
+        trace: "str | None",
+        client_trace: "str | None",
+        *,
+        stream: bool,
     ) -> None:
-        """Relay one RENDER, retrying whole on replica failover.
+        """Relay one RENDER or STREAM inside its ``route`` span.
 
-        With a ``deadline``, each backend attempt carries only the
-        *remaining* budget and the failover loop itself is bounded by
-        it — a request that cannot finish in time answers 504, never
-        a late success.
+        The span records every backend tried and the failover count,
+        whatever way the relay ends.
         """
         excluded: "set[str]" = set()
-        started = asyncio.get_running_loop().time()
         tried: "list[str]" = []
         route_start = self.tracer.now() if self.tracer.enabled else 0.0
         try:
-            await self._route_render(
-                conn, request_id, scene_id, camera, request_class,
-                deadline, client_trace, excluded, tried, started,
+            await self._relay_with_failover(
+                conn, request_id, scene_id, cameras, request_class,
+                deadline, client_trace, excluded, tried, stream,
             )
         finally:
             if self.tracer.enabled:
+                attrs = {
+                    "scene": scene_id,
+                    "class": request_class,
+                    "backends": tried,
+                    "failovers": len(excluded),
+                }
+                if stream:
+                    attrs["stream"] = True
                 self.tracer.record(
                     "route",
                     trace=trace,
                     start=route_start,
                     end=self.tracer.now(),
-                    attrs={
-                        "scene": scene_id,
-                        "class": request_class,
-                        "backends": tried,
-                        "failovers": len(excluded),
-                    },
+                    attrs=attrs,
                 )
 
-    async def _route_render(
+    async def _relay_with_failover(
         self,
-        conn: _ClientConn,
+        conn: _Connection,
         request_id: int,
         scene_id: str,
-        camera: dict,
+        cameras,
         request_class: str,
         deadline: "float | None",
         client_trace: "str | None",
         excluded: "set[str]",
         tried: "list[str]",
-        started: float,
+        stream: bool,
     ) -> None:
-        """The RENDER failover loop (:meth:`_serve_render`'s body)."""
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                self.stats.errors += 1
-                await self._send_error(
-                    conn,
-                    request_id,
-                    ErrorCode.DEADLINE_EXCEEDED,
-                    "request deadline exceeded during failover",
-                )
-                return
-            link = await self._acquire_link(scene_id, excluded)
-            if link is None:
-                await self._no_replica(conn, request_id)
-                return
-            backend_id, queue = link.open_channel()
-            tried.append(link.spec.backend_id)
-            try:
-                await self._ensure_scene_on(link, scene_id)
-                header = {
-                    "request_id": backend_id,
-                    "scene_id": scene_id,
-                    "camera": camera,
-                    "class": request_class,
-                }
-                if client_trace is not None:
-                    header["trace"] = client_trace
-                remaining_ms = protocol.deadline_remaining_ms(deadline)
-                if remaining_ms is not None:
-                    header["deadline_ms"] = remaining_ms
-                await link.send(
-                    protocol.encode_frame(MessageType.RENDER, header)
-                )
-                frame = await self._backend_frame(link, queue, deadline)
-                if frame.type is MessageType.FRAME:
-                    self._checked(link, frame)
-            except LinkLostError as exc:
-                self._mark_failover(link, excluded, exc)
-                continue
-            except ProtocolError as exc:
-                # _ensure_scene_on refused (e.g. registry full there),
-                # or the request deadline expired (504) — in which
-                # case the backend may still be rendering: tell it to
-                # stop, the answer can no longer be used.
-                if exc.code is ErrorCode.DEADLINE_EXCEEDED:
-                    await self._cancel_backend(link, backend_id)
-                self.stats.errors += 1
-                await self._send_error(conn, request_id, exc.code, str(exc))
-                return
-            except asyncio.CancelledError:
-                await self._cancel_backend(link, backend_id)
-                raise
-            except Exception as exc:
-                # Defense in depth (the gateway's rule): an unexpected
-                # relay failure answers *this* request — a silently
-                # dead task would leave the client waiting forever.
-                self.stats.errors += 1
-                await self._send_error(
-                    conn,
-                    request_id,
-                    ErrorCode.INTERNAL,
-                    f"internal relay failure: {exc}",
-                )
-                return
-            finally:
-                link.close_channel(backend_id)
-            if frame.type is MessageType.ERROR and int(
-                frame.header.get("code", 0)
-            ) == int(ErrorCode.SHUTTING_DOWN):
-                if frame.header.get("draining"):
-                    # An announced departure: gate the backend off for
-                    # new placements immediately (no hysteresis) on
-                    # top of the ordinary failover bookkeeping.
-                    self.health.set_draining(link.spec.backend_id)
-                self._mark_failover(link, excluded, "backend shutting down")
-                continue
-            if frame.type is MessageType.FRAME:
-                self._observe(
-                    request_class,
-                    asyncio.get_running_loop().time() - started,
-                )
-            try:
-                await self._relay(conn, request_id, frame, deadline=deadline)
-            except (ConnectionError, OSError):
-                # The client vanished while its answer was in hand.
-                self.stats.cancelled_requests += 1
-            return
-
-    async def _serve_stream(
-        self,
-        conn: _ClientConn,
-        request_id: int,
-        scene_id: str,
-        cameras: "list[dict]",
-        request_class: str,
-        deadline: "float | None" = None,
-        trace: "str | None" = None,
-        client_trace: "str | None" = None,
-    ) -> None:
-        """Relay one STREAM with mid-flight failover.
+        """The failover loop: one RENDER (a single FRAME) or one STREAM.
 
         The router counts the frames it has actually relayed; when a
-        backend dies it re-issues the stream on the next replica for
-        the *remaining* cameras only and rebases the incoming indices,
-        so the client observes one gapless, duplicate-free, ordered
-        stream regardless of how many backends died along the way.  A
-        frame failing its ``sha256`` check is treated as a backend
-        death at that exact point: it is never relayed and never
-        counted, so the resumed suffix re-renders it elsewhere.
+        backend dies it re-issues the request on the next replica — a
+        RENDER whole, a STREAM for the *remaining* cameras only, with
+        the incoming indices rebased — so the client observes one
+        gapless, duplicate-free, ordered stream regardless of how many
+        backends died along the way.  A frame failing its ``sha256``
+        check is treated as a backend death at that exact point: it is
+        never relayed and never counted, so it is re-rendered
+        elsewhere.  A backend's draining 503 is a failover too, and
+        gates that backend off new placements at once.
 
-        Like the gateway, the admission controller observes only the
-        time to the *first* relayed frame: later inter-frame gaps
-        include the client's own drain stalls, which are not serving
-        latency.
+        With a ``deadline``, each backend attempt carries only the
+        *remaining* budget and the loop itself is bounded by it — a
+        request that cannot finish in time answers 504, never a late
+        success.  Like the gateway, the admission controller observes
+        only the time to the *first* relayed frame: later inter-frame
+        gaps include the client's own drain stalls, which are not
+        serving latency.
         """
-        excluded: "set[str]" = set()
-        tried: "list[str]" = []
-        route_start = self.tracer.now() if self.tracer.enabled else 0.0
-        try:
-            await self._route_stream(
-                conn, request_id, scene_id, cameras, request_class,
-                deadline, client_trace, excluded, tried,
-            )
-        finally:
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "route",
-                    trace=trace,
-                    start=route_start,
-                    end=self.tracer.now(),
-                    attrs={
-                        "scene": scene_id,
-                        "class": request_class,
-                        "backends": tried,
-                        "failovers": len(excluded),
-                        "stream": True,
-                    },
-                )
-
-    async def _route_stream(
-        self,
-        conn: _ClientConn,
-        request_id: int,
-        scene_id: str,
-        cameras: "list[dict]",
-        request_class: str,
-        deadline: "float | None",
-        client_trace: "str | None",
-        excluded: "set[str]",
-        tried: "list[str]",
-    ) -> None:
-        """The STREAM failover loop (:meth:`_serve_stream`'s body)."""
         sent = 0
         started = asyncio.get_running_loop().time()
         while True:
@@ -1361,7 +909,9 @@ class ShardRouter:
                     conn,
                     request_id,
                     ErrorCode.DEADLINE_EXCEEDED,
-                    f"stream deadline exceeded after {sent} frames",
+                    f"stream deadline exceeded after {sent} frames"
+                    if stream
+                    else "request deadline exceeded during failover",
                 )
                 return
             link = await self._acquire_link(scene_id, excluded)
@@ -1373,19 +923,22 @@ class ShardRouter:
             try:
                 await self._ensure_scene_on(link, scene_id)
                 base = sent
-                header = {
-                    "request_id": backend_id,
-                    "scene_id": scene_id,
-                    "cameras": cameras[base:],
-                    "class": request_class,
-                }
+                header = {"request_id": backend_id, "scene_id": scene_id}
+                if stream:
+                    header["cameras"] = cameras[base:]
+                else:
+                    header["camera"] = cameras
+                header["class"] = request_class
                 if client_trace is not None:
                     header["trace"] = client_trace
                 remaining_ms = protocol.deadline_remaining_ms(deadline)
                 if remaining_ms is not None:
                     header["deadline_ms"] = remaining_ms
                 await link.send(
-                    protocol.encode_frame(MessageType.STREAM, header)
+                    protocol.encode_frame(
+                        MessageType.STREAM if stream else MessageType.RENDER,
+                        header,
+                    )
                 )
                 while True:
                     frame = await self._backend_frame(link, queue, deadline)
@@ -1408,6 +961,8 @@ class ShardRouter:
                         )
                         sent += 1
                         self.stats.frames_relayed += 1
+                        if not stream:
+                            return
                     elif frame.type is MessageType.END:
                         await self._send(
                             conn,
@@ -1422,8 +977,13 @@ class ShardRouter:
                         frame.header.get("code", 0)
                     ) == int(ErrorCode.SHUTTING_DOWN):
                         if frame.header.get("draining"):
+                            # An announced departure: gate the backend
+                            # off new placements immediately (no
+                            # hysteresis) on top of the failover.
                             self.health.set_draining(link.spec.backend_id)
-                        raise LinkLostError(link.spec.backend_id)
+                        raise LinkLostError(
+                            f"backend {link.spec.backend_id} is shutting down"
+                        )
                     else:
                         await self._relay(conn, request_id, frame)
                         return
@@ -1431,8 +991,9 @@ class ShardRouter:
                 self._mark_failover(link, excluded, exc)
                 continue
             except ProtocolError as exc:
-                # Scene-push refusal or deadline expiry (504); either
-                # way the backend may still be streaming — cancel it.
+                # Scene-push refusal (e.g. registry full there) or
+                # deadline expiry (504); either way the backend may
+                # still be working on it — tell it to stop.
                 if exc.code is ErrorCode.DEADLINE_EXCEEDED:
                     await self._cancel_backend(link, backend_id)
                 self.stats.errors += 1
@@ -1474,24 +1035,19 @@ class ShardRouter:
             pass
 
     async def _relay(
-        self,
-        conn: _ClientConn,
-        request_id: int,
-        frame: Frame,
-        *,
-        deadline: "float | None" = None,
+        self, conn: _Connection, request_id: int, frame: Frame
     ) -> None:
-        """Forward a backend frame verbatim except for the request id."""
+        """Forward a backend answer verbatim except for the request id.
+
+        A backend's ERROR — a 404, or a 429 with its ``retry_after_ms``
+        hint — crosses the hop untranslated.
+        """
         header = dict(frame.header)
         header["request_id"] = request_id
         if frame.type is MessageType.ERROR:
             self.stats.errors += 1
-        elif frame.type is MessageType.FRAME:
-            self.stats.frames_relayed += 1
         await self._send(
-            conn,
-            protocol.encode_frame(frame.type, header, frame.blob),
-            deadline=deadline,
+            conn, protocol.encode_frame(frame.type, header, frame.blob)
         )
 
     # -- stats aggregation ----------------------------------------------
@@ -1583,127 +1139,11 @@ class ShardRouter:
             },
         }
 
-    # -- plumbing --------------------------------------------------------
-    async def _send(
-        self,
-        conn: _ClientConn,
-        payload: bytes,
-        *,
-        deadline: "float | None" = None,
-    ) -> None:
-        """Write to the client, bounded by ``write_timeout``.
-
-        With a request ``deadline`` the bound tightens to whatever
-        budget is left: a client too slow to take its own frames
-        cannot hold the relay past the deadline it asked for.
-        """
-        timeout = self.write_timeout
-        if deadline is not None:
-            remaining = max(0.001, deadline - time.monotonic())
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        async with conn.wlock:
-            conn.writer.write(payload)
-            await protocol.drain_within(conn.writer, timeout, "client write")
-
-    async def _send_error(
-        self,
-        conn: _ClientConn,
-        request_id: "int | None",
-        code: ErrorCode,
-        message: str,
-        *,
-        retry_after_ms: "int | None" = None,
-        draining: bool = False,
-    ) -> None:
-        """Best-effort ERROR frame (the peer may already be gone).
-
-        Only errors the *router* originates pass through here; ERROR
-        frames from a backend are relayed verbatim by :meth:`_relay`,
-        so a backend 429's ``retry_after_ms`` hint survives the hop
-        without translation.
-        """
-        header: dict = {
-            "request_id": request_id,
-            "code": int(code),
-            "message": message,
-        }
-        if retry_after_ms is not None:
-            header["retry_after_ms"] = int(retry_after_ms)
-        if draining:
-            header["draining"] = True
-        try:
-            await self._send(
-                conn, protocol.encode_frame(MessageType.ERROR, header)
-            )
-        except (ConnectionError, OSError):
-            pass
-
-    # -- HTTP front end --------------------------------------------------
-    async def _handle_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One HTTP exchange: local routes or a backend proxy."""
-        self.stats.http_requests += 1
-        try:
-            target = await read_http_get(reader, writer)
-            if target is not None:
-                await self._http_route(writer, target)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _http_route(self, writer: asyncio.StreamWriter, target: str) -> None:
-        """Local /healthz, /stats, /metrics, /traces; /render and
-        /stream proxied."""
-        url = urlsplit(target)
-        query = dict(parse_qsl(url.query))
-        if url.path == "/healthz":
-            up = [
-                spec.backend_id
-                for spec in self.topology.backends
-                if self.health.is_up(spec.backend_id)
-            ]
-            status = 200 if up else 503
-            await http_reply(
-                writer,
-                status,
-                {
-                    "status": "ok" if up else "no backend up",
-                    "role": "router",
-                    "backends_up": up,
-                    "backends_total": len(self.topology),
-                },
-            )
-        elif url.path == "/stats":
-            await http_reply(writer, 200, await self._stats_payload())
-        elif url.path == "/metrics":
-            await http_reply(writer, 200, self.metrics_dict())
-        elif url.path == "/traces":
-            try:
-                limit = int(query["limit"]) if "limit" in query else None
-            except ValueError:
-                await http_reply(
-                    writer, 400, {"error": "limit must be an integer"}
-                )
-                return
-            await http_reply(
-                writer,
-                200,
-                self.traces_dict(trace=query.get("trace"), limit=limit),
-            )
-        elif url.path in ("/render", "/stream"):
-            await self._http_proxy(writer, target, query)
-        else:
-            await http_reply(writer, 404, {"error": f"no route {url.path}"})
-
-    async def _http_proxy(
+    # -- HTTP front end: /render and /stream proxied ---------------------
+    async def _http_fulfil(
         self,
         writer: asyncio.StreamWriter,
+        path: str,
         target: str,
         query: "dict[str, str]",
     ) -> None:

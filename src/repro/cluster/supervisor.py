@@ -24,10 +24,16 @@ rides in the child environment (:data:`AUTH_TOKEN_ENV`), never argv.
 Each backend's stdout/stderr goes to a log file under a temporary
 directory, which is also where READY lines are parsed from — and where
 to look when a backend fails to come up.
+
+:func:`fleet_router` and :func:`drive_fleet` are the load driver the
+``repro cluster`` and ``repro trace record`` commands share: start a
+fleet, put a router over it, stream every client's trajectory through
+it and, optionally, kill a scene's owner mid-run.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import re
 import signal
@@ -35,13 +41,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
+from repro.experiments.shm_cache import cloud_fingerprint
 from repro.serve.auth import AUTH_TOKEN_ENV, resolve_auth_token
+from repro.serve.client import AsyncGatewayClient
 
-from repro.cluster.topology import BackendSpec
+from repro.cluster.router import ShardRouter
+from repro.cluster.topology import BackendSpec, ClusterMap
 
 _READY_RE = re.compile(
     r"CLUSTER-BACKEND READY id=(?P<id>\S+) tcp=(?P<tcp>\d+) http=(?P<http>\S+)"
@@ -308,3 +318,97 @@ class LocalFleet:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+@asynccontextmanager
+async def fleet_router(
+    fleet: LocalFleet, *, replication: int, port: int = 0, **router_kwargs
+):
+    """Start ``fleet``, then a :class:`ShardRouter` over it on ``port``.
+
+    Yields the started router and closes it on exit; the fleet stays
+    its owner's to close (its processes must end even when the event
+    loop does not).  ``router_kwargs`` go to :class:`ShardRouter`.
+    """
+    specs = await asyncio.get_running_loop().run_in_executor(None, fleet.start)
+    router = ShardRouter(
+        ClusterMap(specs, replication=replication), **router_kwargs
+    )
+    await router.start(port=port)
+    try:
+        yield router
+    finally:
+        await router.close()
+
+
+@dataclass
+class FleetRun:
+    """What :func:`drive_fleet` streamed: per client, in client order."""
+
+    frames: "list[int]"
+    images: "list[list]"
+    victim: "str | None"
+    wall_s: float
+
+
+async def drive_fleet(
+    router: ShardRouter,
+    fleet: LocalFleet,
+    scenes,
+    *,
+    clients: int,
+    passes: int = 1,
+    request_class: "str | None" = None,
+    kill_owner: bool = False,
+    trace_ids=None,
+    keep_images: bool = True,
+) -> FleetRun:
+    """Stream ``clients`` concurrent trajectories through ``router``.
+
+    Client ``i`` opens its own connection and streams
+    ``scenes[i % len(scenes)]`` — a ``(cloud, cameras)`` pair —
+    ``passes`` times.  With ``kill_owner``, the owner of the first
+    scene is SIGKILLed as soon as client 0 holds its first frame, so
+    the streams finish through failover.  ``trace_ids`` (an iterator)
+    stamps every stream with a client-minted trace id.  With
+    ``keep_images`` the frames' images are returned for verification.
+    """
+    first_frame = asyncio.Event()
+    loop = asyncio.get_running_loop()
+
+    async def one_client(index: int) -> "list":
+        cloud, cameras = scenes[index % len(scenes)]
+        images = []
+        async with AsyncGatewayClient(
+            router.host, router.tcp_port, auth_token=router.auth_token
+        ) as client:
+            for _ in range(passes):
+                async for _, result in client.stream_trajectory(
+                    cloud,
+                    cameras,
+                    request_class=request_class,
+                    trace=None if trace_ids is None else next(trace_ids),
+                ):
+                    images.append(result.image if keep_images else None)
+                    if index == 0:
+                        first_frame.set()
+        return images
+
+    async def killer() -> "str | None":
+        if not kill_owner:
+            return None
+        await first_frame.wait()
+        victim = router.topology.owner(cloud_fingerprint(scenes[0][0]))
+        await loop.run_in_executor(None, fleet.kill, victim.backend_id)
+        return victim.backend_id
+
+    start = time.perf_counter()
+    *images, victim = await asyncio.gather(
+        *(one_client(i) for i in range(clients)), killer()
+    )
+    return FleetRun(
+        frames=[len(client) for client in images],
+        images=images if keep_images else [],
+        victim=victim,
+        wall_s=time.perf_counter() - start,
+    )

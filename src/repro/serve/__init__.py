@@ -6,7 +6,11 @@ into a *service*: many concurrent clients, few engine renders.
 
 ::
 
-    clients ──> RenderService ──┬─ SharedRenderCache  (stored wire-ready:
+    clients ──> WireServer  (connections, HELLO/AUTH, admission,
+                   │         drain, HTTP; RenderGateway fulfils on the
+                   │         service below, the cluster's ShardRouter
+                   ▼         relays to a gateway)
+    requests ─> RenderService ──┬─ SharedRenderCache  (stored wire-ready:
       │            │            │   bytes + digest + stats JSON; a repeat
       │            │            │   hit is a lookup in this process's memo
       │            │            │   on the loop thread, a first hit one
@@ -31,6 +35,10 @@ into a *service*: many concurrent clients, few engine renders.
   ``interactive`` | ``bulk`` | ``prefetch`` request classes with
   weighted quotas and priority shedding under overload (429s carry a
   ``retry_after_ms`` hint); see :mod:`repro.serve.admission`.
+* :class:`~repro.serve.server.WireServer` — the protocol server core
+  both network front ends subclass: listeners, connection lifecycle,
+  HELLO/AUTH, admission, deadline-bounded writes, drain and the shared
+  HTTP routes, written once.
 * :class:`RenderGateway` — the network front end: a TCP server speaking
   the :mod:`repro.serve.protocol` length-prefixed JSON+binary frame
   protocol (streamed trajectories, error frames, class-aware 429

@@ -64,6 +64,11 @@ Failure semantics (all test-asserted):
   work within a grace period while refusing new requests with
   503 + ``retry_after_ms``.
 
+The connection path, admission, drain and the shared HTTP routes are
+:class:`repro.serve.server.WireServer`'s, written once for this class
+and the cluster router; what is here is how a gateway fulfils a
+request — render it on the service — and its own payloads.
+
 See ``docs/serving.md`` for the wire-protocol spec and worked
 examples, and ``docs/robustness.md`` for the failure model.
 """
@@ -72,9 +77,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 from dataclasses import asdict, dataclass
-from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 
@@ -82,12 +85,7 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.cloud import GaussianCloud
 from repro.experiments.shm_cache import cloud_fingerprint
 from repro.serve import protocol
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionRejected,
-    AdmissionTicket,
-)
-from repro.serve.auth import resolve_auth_token, token_matches
+from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.protocol import (
     ErrorCode,
     Frame,
@@ -95,53 +93,15 @@ from repro.serve.protocol import (
     ProtocolError,
     drain_within,
 )
+from repro.serve.server import (  # noqa: F401 - helpers once defined here
+    HTTP_REASONS,
+    WireServer,
+    _Connection,
+    authenticate_reader,
+    http_reply,
+    read_http_get,
+)
 from repro.serve.service import RenderService
-from repro.trace.tracer import NULL_TRACER
-
-#: HTTP reason phrases for every status the serving stack emits.
-HTTP_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    401: "Unauthorized",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-async def http_reply(
-    writer: asyncio.StreamWriter,
-    status: int,
-    body,
-    *,
-    content_type: str = "application/json",
-    timeout: "float | None" = None,
-) -> None:
-    """Write one full fixed-length HTTP/1.1 response and flush.
-
-    Shared by the gateway's HTTP adapter and the cluster router's HTTP
-    front end, so error shapes stay identical across both.  ``timeout``
-    bounds the flush against a peer that stopped reading
-    (:func:`~repro.serve.protocol.drain_within`).
-    """
-    if isinstance(body, (dict, list)):
-        payload = (json.dumps(body, indent=2) + "\n").encode("utf-8")
-    else:
-        payload = body
-    writer.write(
-        (
-            f"HTTP/1.1 {status} {HTTP_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-    )
-    writer.write(payload)
-    await drain_within(writer, timeout, "HTTP reply")
 
 
 async def http_stream_head(
@@ -180,66 +140,6 @@ async def http_stream_end(
     writer.write(b"0\r\n\r\n")
     await drain_within(writer, timeout, "HTTP stream end")
 
-
-async def read_http_get(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> "str | None":
-    """Read one HTTP/1.1 request head and return its GET target.
-
-    Anything else — malformed head, timeout, non-GET method — is
-    answered (400/405) here and reported as ``None``.  Shared by the
-    gateway's HTTP adapter and the cluster router's HTTP front end.
-    """
-    try:
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=10.0
-        )
-    except (
-        asyncio.IncompleteReadError,
-        asyncio.LimitOverrunError,
-        asyncio.TimeoutError,
-    ):
-        await http_reply(writer, 400, {"error": "malformed HTTP request"})
-        return None
-    request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
-    parts = request_line.split()
-    if len(parts) != 3 or parts[0] != "GET":
-        await http_reply(writer, 405, {"error": "only GET is supported"})
-        return None
-    return parts[1]
-
-
-async def authenticate_reader(
-    reader: asyncio.StreamReader, auth_token: "str | None", role: str
-) -> "tuple[bool, tuple | None]":
-    """The server side of the AUTH handshake, transport-agnostic.
-
-    Returns ``(ok, refusal)``: ``(True, None)`` to proceed,
-    ``(False, None)`` for a clean pre-AUTH disconnect (no refusal to
-    send), and ``(False, (code, message))`` when an ERROR should be
-    sent before closing — a 401 for a wrong/missing token, or the
-    underlying :class:`ProtocolError`'s code for a corrupt first
-    frame.  Token comparison is constant-time (:func:`token_matches`).
-    Shared by the gateway and the cluster router so the handshake
-    cannot drift between them.
-    """
-    if auth_token is None:
-        return True, None
-    try:
-        frame = await protocol.read_frame(reader)
-    except ProtocolError as exc:
-        return False, (exc.code, str(exc))
-    if frame is None:
-        return False, None  # clean pre-AUTH disconnect: not a refusal
-    if frame.type is not MessageType.AUTH or not token_matches(
-        auth_token, frame.header.get("token")
-    ):
-        return False, (
-            ErrorCode.UNAUTHORIZED,
-            f"this {role} requires a shared-secret AUTH frame before "
-            "any other message",
-        )
-    return True, None
 
 
 @dataclass
@@ -286,18 +186,7 @@ class GatewayStats:
     auth_failures: int = 0
 
 
-class _Connection:
-    """Per-connection state: writer serialisation + live request tasks."""
-
-    __slots__ = ("writer", "wlock", "tasks")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.wlock = asyncio.Lock()
-        self.tasks: "dict[int, asyncio.Task]" = {}
-
-
-class RenderGateway:
+class RenderGateway(WireServer):
     """TCP (+ optional HTTP) front end over a :class:`RenderService`.
 
     Parameters
@@ -345,6 +234,8 @@ class RenderGateway:
         by ``/metrics``.  Stamped whether or not tracing is on.
     """
 
+    role = "gateway"
+
     def __init__(
         self,
         service: RenderService,
@@ -358,85 +249,21 @@ class RenderGateway:
         tracer=None,
         node_id: str = "gateway",
     ) -> None:
-        if admission is None:
-            if max_pending < 1:
-                raise ValueError("max_pending must be positive")
-            admission = AdmissionController(max_pending)
-        if max_scenes < 1:
-            raise ValueError("max_scenes must be positive")
+        super().__init__(
+            GatewayStats(),
+            host=host,
+            max_pending=max_pending,
+            admission=admission,
+            max_scenes=max_scenes,
+            auth_token=auth_token,
+            write_timeout=write_timeout,
+            tracer=tracer,
+            node_id=node_id,
+        )
         self.service = service
-        self.host = host
-        self.admission = admission
-        self.max_pending = admission.capacity
-        self.max_scenes = max_scenes
-        if write_timeout is not None and write_timeout <= 0:
-            raise ValueError("write_timeout must be positive or None")
-        self.auth_token = resolve_auth_token(auth_token)
-        self.write_timeout = write_timeout
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.node_id = node_id
-        self.stats = GatewayStats()
         self._scenes: "dict[str, GaussianCloud]" = {}
         self._orbits: "dict[str, list[Camera]]" = {}
         self._wire_scenes = 0
-        self._server: "asyncio.base_events.Server | None" = None
-        self._http_server: "asyncio.base_events.Server | None" = None
-        self._conn_tasks: "set[asyncio.Task]" = set()
-        self._conns: "set[_Connection]" = set()
-        self._closing = False
-        self._draining = False
-        self._drain_hint_ms: "int | None" = None
-
-    @property
-    def _pending(self) -> int:
-        """Admitted-but-unanswered requests (the admission invariant).
-
-        Delegates to the controller so the soak tests' invariant —
-        pending returns to zero after any storm of rejects, cancels and
-        disconnects — checks the same counter every admission path
-        uses.
-        """
-        return self.admission.total_pending
-
-    def _admit(
-        self, request_class: "str | None", *, stream: bool
-    ) -> AdmissionTicket:
-        """The one admission guard for TCP and both HTTP handlers.
-
-        Raises :class:`AdmissionRejected` (counted in
-        ``stats.rejected`` — identically for TCP and HTTP 429s) or a
-        503 :class:`ProtocolError` during shutdown; on success counts
-        the request and returns the ticket whose release returns the
-        slot.  While *draining*, the 503 carries a ``retry_after_ms``
-        hint (roughly the drain grace — the process restarts within
-        it) and ``draining: true``, so client pools back off and
-        routers re-place the work instead of treating it as dead.
-        """
-        if self._draining and not self._closing:
-            raise ProtocolError(
-                "gateway is draining",
-                code=ErrorCode.SHUTTING_DOWN,
-                retry_after_ms=self._drain_hint_ms,
-                draining=True,
-            )
-        if self._closing:
-            raise ProtocolError(
-                "gateway is shutting down", code=ErrorCode.SHUTTING_DOWN
-            )
-        try:
-            ticket = self.admission.admit(request_class)
-        except AdmissionRejected:
-            self.stats.rejected += 1
-            raise
-        self.stats.requests += 1
-        if stream:
-            self.stats.streams += 1
-        return ticket
-
-    def _observe(self, request_class: str, latency_s: float) -> None:
-        """Feed the slow timescale; adapt when a window completes."""
-        if self.admission.observe(request_class, latency_s):
-            self.admission.adapt()
 
     def metrics_dict(self) -> dict:
         """The METRICS / ``/metrics`` snapshot: one flat JSON document.
@@ -454,16 +281,6 @@ class RenderGateway:
             "admission": self.admission.stats_dict(),
             **self.tracer.metrics.snapshot(),
         }
-
-    def traces_dict(
-        self, *, trace: "str | None" = None, limit: "int | None" = None
-    ) -> dict:
-        """The ``/traces`` snapshot: the collector ring grouped by id."""
-        spans = self.tracer.spans(trace=trace, limit=limit)
-        grouped: "dict[str, list[dict]]" = {}
-        for span in spans:
-            grouped.setdefault(span["trace"], []).append(span)
-        return {"node": self.node_id, "traces": grouped}
 
     # -- scene registry --------------------------------------------------
     def register_scene(
@@ -495,268 +312,26 @@ class RenderGateway:
             )
         return cloud
 
-    # -- lifecycle -------------------------------------------------------
-    async def start(self, port: int = 0) -> None:
-        """Start the TCP protocol listener (``port=0`` picks a free one)."""
-        self._server = await asyncio.start_server(
-            self._handle_conn, host=self.host, port=port
-        )
+    # -- what the core asks of a gateway ---------------------------------
+    def _hello_extras(self) -> dict:
+        return {
+            "scenes": sorted(self._orbits),
+            "auth_required": self.auth_token is not None,
+            "classes": list(self.admission.classes()),
+            "default_class": self.admission.default_class,
+        }
 
-    async def start_http(self, port: int = 0) -> None:
-        """Start the HTTP/1.1 adapter (``port=0`` picks a free one)."""
-        self._http_server = await asyncio.start_server(
-            self._handle_http, host=self.host, port=port
-        )
+    async def _stats_payload(self) -> dict:
+        return {
+            "service": self.service.stats_dict(),
+            "gateway": {
+                **asdict(self.stats),
+                "admission": self.admission.stats_dict(),
+            },
+        }
 
-    @property
-    def tcp_port(self) -> int:
-        """The TCP listener's bound port (after :meth:`start`)."""
-        assert self._server is not None, "gateway not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def http_port(self) -> int:
-        """The HTTP listener's bound port (after :meth:`start_http`)."""
-        assert self._http_server is not None, "HTTP adapter not started"
-        return self._http_server.sockets[0].getsockname()[1]
-
-    async def drain(
-        self, grace: float = 30.0, *, retry_after_ms: "int | None" = None
-    ) -> bool:
-        """Graceful shutdown: finish in-flight work, then close.
-
-        Drain mode (the SIGTERM path — see
-        :mod:`repro.cluster.backend` and ``docs/robustness.md``):
-
-        1. stop accepting — both listeners close, so restarts/load
-           balancers route new connections elsewhere;
-        2. refuse new requests on live connections with a 503 carrying
-           ``retry_after_ms`` (default: the grace, rounded up — the
-           replacement process is up within it) and ``draining: true``;
-        3. wait up to ``grace`` seconds for every admitted request —
-           TCP and HTTP, renders and streams — to finish at its own
-           pace;
-        4. send a best-effort BYE to surviving connections and
-           :meth:`close`.
-
-        Returns ``True`` when all in-flight work finished within the
-        grace (the clean-exit signal for process wrappers), ``False``
-        when the grace expired and the remainder was cancelled.
-        Idempotent with :meth:`close`: draining an already-closing
-        gateway just closes it.
-        """
-        if grace < 0:
-            raise ValueError("grace must be non-negative")
-        self._draining = True
-        if self._drain_hint_ms is None:
-            self._drain_hint_ms = (
-                int(retry_after_ms)
-                if retry_after_ms is not None
-                else max(1, int(grace * 1e3))
-            )
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-        deadline = time.monotonic() + grace
-        while (
-            not self._closing
-            and self.admission.total_pending > 0
-            and time.monotonic() < deadline
-        ):
-            await asyncio.sleep(0.02)
-        drained = self.admission.total_pending == 0
-        for conn in list(self._conns):
-            try:
-                await self._send(
-                    conn,
-                    protocol.encode_frame(MessageType.BYE, {"draining": True}),
-                )
-            except (ConnectionError, OSError):
-                pass
-        await self.close()
-        return drained
-
-    async def close(self) -> None:
-        """Stop accepting, cancel in-flight connections, release ports.
-
-        Abrupt by design: outstanding requests are cancelled (counted in
-        ``stats.cancelled_requests``).  Clients wanting a clean shutdown
-        finish their streams and send BYE first (or call :meth:`drain`
-        server-side).  The wrapped service is left running — close it
-        separately.
-        """
-        self._closing = True
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        for server in (self._server, self._http_server):
-            if server is not None:
-                await server.wait_closed()
-
-    async def __aenter__(self) -> "RenderGateway":
-        if self._server is None:
-            await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    # -- TCP protocol ----------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One protocol connection: dispatch frames until EOF or BYE."""
-        self.stats.connections += 1
-        conn = _Connection(writer)
-        self._conns.add(conn)
-        handler = asyncio.current_task()
-        if handler is not None:
-            self._conn_tasks.add(handler)
-        try:
-            await self._send(
-                conn,
-                protocol.encode_frame(
-                    MessageType.HELLO,
-                    {
-                        "version": protocol.PROTOCOL_VERSION,
-                        "max_pending": self.max_pending,
-                        "scenes": sorted(self._orbits),
-                        "auth_required": self.auth_token is not None,
-                        "classes": list(self.admission.classes()),
-                        "default_class": self.admission.default_class,
-                    },
-                ),
-            )
-            if not await self._authenticate(conn, reader):
-                return
-            while True:
-                try:
-                    frame = await protocol.read_frame(reader)
-                except ProtocolError as exc:
-                    self.stats.errors += 1
-                    await self._send_error(conn, None, exc.code, str(exc))
-                    if exc.fatal:
-                        break
-                    continue
-                if frame is None or frame.type is MessageType.BYE:
-                    break
-                await self._dispatch(conn, frame)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass  # client went away; the finally block cleans up
-        except asyncio.CancelledError:
-            # Gateway shutdown cancels connection handlers; finish the
-            # cleanup below instead of propagating out of the server's
-            # connection callback (asyncio would log it as unhandled).
-            pass
-        finally:
-            self._conns.discard(conn)
-            if handler is not None:
-                self._conn_tasks.discard(handler)
-            for task in conn.tasks.values():
-                if not task.done():
-                    task.cancel()
-                    self.stats.cancelled_requests += 1
-            if conn.tasks:
-                await asyncio.gather(
-                    *conn.tasks.values(), return_exceptions=True
-                )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _authenticate(
-        self, conn: _Connection, reader: asyncio.StreamReader
-    ) -> bool:
-        """Enforce the AUTH handshake; True means proceed to dispatch.
-
-        With no token configured this is a no-op (an unsolicited AUTH
-        frame from a keyed client is accepted and ignored by
-        :meth:`_dispatch`).  With a token, the first frame must be a
-        matching AUTH: anything else — wrong token, a request before
-        AUTH, garbage — answers a 401 ERROR and closes the connection
-        (:func:`authenticate_reader`).
-        """
-        ok, refusal = await authenticate_reader(
-            reader, self.auth_token, "gateway"
-        )
-        if refusal is not None:
-            code, message = refusal
-            if code is ErrorCode.UNAUTHORIZED:
-                self.stats.auth_failures += 1
-            else:
-                self.stats.errors += 1
-            await self._send_error(conn, None, code, message)
-        return ok
-
-    async def _dispatch(self, conn: _Connection, frame: Frame) -> None:
-        """Route one well-framed message; answer errors inline."""
-        try:
-            if frame.type is MessageType.SCENE:
-                await self._on_scene(conn, frame)
-            elif frame.type in (MessageType.RENDER, MessageType.STREAM):
-                self._on_request(conn, frame)
-            elif frame.type is MessageType.CANCEL:
-                task = conn.tasks.get(frame.header.get("request_id"))
-                if task is not None and not task.done():
-                    task.cancel()
-                    self.stats.cancelled_requests += 1
-            elif frame.type is MessageType.AUTH:
-                pass  # unsolicited token on an unkeyed gateway: ignore
-            elif frame.type is MessageType.STATS:
-                await self._send(
-                    conn,
-                    protocol.encode_frame(
-                        MessageType.STATS_OK,
-                        {
-                            "service": self.service.stats_dict(),
-                            "gateway": {
-                                **asdict(self.stats),
-                                "admission": self.admission.stats_dict(),
-                            },
-                        },
-                    ),
-                )
-            elif frame.type is MessageType.METRICS:
-                await self._send(
-                    conn,
-                    protocol.encode_frame(
-                        MessageType.METRICS_OK, self.metrics_dict()
-                    ),
-                )
-            else:
-                raise ProtocolError(
-                    f"unexpected message type {frame.type.name} from a client"
-                )
-        except ProtocolError as exc:
-            if exc.code is not ErrorCode.REJECTED:
-                # 429s are accounted in stats.rejected, not as errors.
-                self.stats.errors += 1
-            await self._send_error(
-                conn,
-                frame.header.get("request_id"),
-                exc.code,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-                draining=exc.draining,
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            # Defense in depth: an unexpected decode/dispatch failure is
-            # this request's problem, not the connection's.
-            self.stats.errors += 1
-            await self._send_error(
-                conn,
-                frame.header.get("request_id"),
-                ErrorCode.INTERNAL,
-                f"internal dispatch failure: {exc}",
-            )
+    def _healthz(self) -> "tuple[int, dict]":
+        return 200, {"status": "ok"}
 
     async def _on_scene(self, conn: _Connection, frame: Frame) -> None:
         """SCENE: decode + register the cloud, answer SCENE_OK."""
@@ -775,177 +350,71 @@ class RenderGateway:
             protocol.encode_frame(MessageType.SCENE_OK, {"scene_id": scene_id}),
         )
 
-    def _on_request(self, conn: _Connection, frame: Frame) -> None:
-        """RENDER / STREAM: admit (or 429) and spawn the serving task."""
+    def _fulfil(
+        self, conn, request_id, frame, request_class, deadline, trace,
+        client_trace,
+    ):
+        """Resolve the scene and decode the camera(s) before serving."""
         header = frame.header
-        request_id = header.get("request_id")
-        if not isinstance(request_id, int):
-            raise ProtocolError("request_id must be an integer")
-        if request_id in conn.tasks:
-            raise ProtocolError(f"request_id {request_id} is already in flight")
-        # The requester's trace id (validated; None when absent).  Only
-        # this id is ever echoed on the wire — locally-minted ids stay
-        # local, so tracing cannot change served bytes.
-        client_trace = protocol.trace_from_header(header)
-        tracer = self.tracer
-        trace = client_trace
-        if tracer.enabled and trace is None:
-            trace = tracer.new_trace_id()
-        admit_start = tracer.now() if tracer.enabled else 0.0
-        # Admit *synchronously* with the dispatch — the very next frame
-        # on any connection sees the updated pending count — and before
-        # any decoding, so the reject path stays cheap under overload.
-        try:
-            ticket = self._admit(
-                header.get("class"),
-                stream=frame.type is MessageType.STREAM,
-            )
-        except BaseException:
-            if tracer.enabled:
-                tracer.record(
-                    "admission",
-                    trace=trace,
-                    start=admit_start,
-                    end=tracer.now(),
-                    attrs={"admitted": False, "class": header.get("class")},
-                )
-            raise
-        if tracer.enabled:
-            tracer.record(
-                "admission",
-                trace=trace,
-                start=admit_start,
-                end=tracer.now(),
-                attrs={"admitted": True, "class": ticket.request_class},
-            )
-        try:
-            # Pin the deadline before any decoding: the budget is
-            # relative to the request's *arrival*.
-            deadline = protocol.deadline_from_header(header)
-            cloud = self._resolve_scene(header.get("scene_id"))
-            if frame.type is MessageType.RENDER:
-                camera = protocol.decode_camera(header.get("camera") or {})
-                coroutine = self._serve_render(
-                    conn, request_id, cloud, camera, ticket.request_class,
-                    deadline, trace=trace, client_trace=client_trace,
-                )
-            else:
-                specs = header.get("cameras")
-                if not isinstance(specs, list) or not specs:
-                    raise ProtocolError("STREAM needs a non-empty camera list")
-                cameras = [protocol.decode_camera(spec) for spec in specs]
-                coroutine = self._serve_stream(
-                    conn, request_id, cloud, cameras, ticket.request_class,
-                    deadline, trace=trace, client_trace=client_trace,
-                )
-        except BaseException:
-            ticket.release()
-            raise
-        task = asyncio.ensure_future(coroutine)
-        conn.tasks[request_id] = task
-        task.add_done_callback(
-            lambda _t, _conn=conn, _rid=request_id, _ticket=ticket: (
-                self._request_done(_conn, _rid, _ticket)
-            )
+        cloud = self._resolve_scene(header.get("scene_id"))
+        stream = frame.type is MessageType.STREAM
+        if stream:
+            specs = header.get("cameras")
+            if not isinstance(specs, list) or not specs:
+                raise ProtocolError("STREAM needs a non-empty camera list")
+        else:
+            specs = [header.get("camera") or {}]
+        return self._serve(
+            conn, request_id, cloud,
+            [protocol.decode_camera(spec) for spec in specs],
+            request_class, deadline, trace, client_trace, stream=stream,
         )
 
-    def _request_done(
-        self, conn: _Connection, request_id: int, ticket: AdmissionTicket
-    ) -> None:
-        """Release one admission slot and drop the task bookkeeping."""
-        ticket.release()
-        conn.tasks.pop(request_id, None)
-
-    async def _serve_render(
-        self,
-        conn: _Connection,
-        request_id: int,
-        cloud: GaussianCloud,
-        camera: Camera,
-        request_class: str,
-        deadline: "float | None" = None,
-        trace: "str | None" = None,
-        client_trace: "str | None" = None,
-    ) -> None:
-        """Serve one RENDER: a single FRAME answer (or a 500/504 ERROR).
-
-        ``deadline`` (absolute monotonic) bounds the service wait *and*
-        the answer write; past it the client gets a 504 ERROR — an
-        answer it can still act on, unlike a late frame.
-        """
-        try:
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            result = await self.service.render_frame(
-                cloud, camera, request_class=request_class, deadline=deadline,
-                trace=trace,
-            )
-            self._observe(request_class, loop.time() - started)
-            payload = protocol.encode_result_frame(
-                request_id, 0, result,
-                backend=self.node_id, trace=client_trace,
-            )
-            wire_start = self.tracer.now() if self.tracer.enabled else 0.0
-            await self._send(conn, payload, deadline=deadline)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "wire",
-                    trace=trace,
-                    start=wire_start,
-                    end=self.tracer.now(),
-                    attrs={"bytes": len(payload), "index": 0},
-                )
-            self.stats.frames_sent += 1
-        except asyncio.CancelledError:
-            raise
-        except asyncio.TimeoutError:
-            self.stats.errors += 1
-            await self._send_error(
-                conn,
-                request_id,
-                ErrorCode.DEADLINE_EXCEEDED,
-                "deadline exceeded before the frame was ready",
-            )
-        except (ConnectionError, OSError):
-            self.stats.cancelled_requests += 1
-        except Exception as exc:
-            self.stats.errors += 1
-            await self._send_error(
-                conn, request_id, ErrorCode.INTERNAL, f"render failed: {exc}"
-            )
-
-    async def _serve_stream(
+    async def _serve(
         self,
         conn: _Connection,
         request_id: int,
         cloud: GaussianCloud,
         cameras: "list[Camera]",
         request_class: str,
-        deadline: "float | None" = None,
-        trace: "str | None" = None,
-        client_trace: "str | None" = None,
+        deadline: "float | None",
+        trace: "str | None",
+        client_trace: "str | None",
+        *,
+        stream: bool,
     ) -> None:
-        """Serve one STREAM: ordered FRAMEs, then END.
+        """Serve one RENDER (one FRAME) or STREAM (ordered FRAMEs, END).
 
+        A failure answers an ERROR frame instead: 504 once
+        ``deadline`` (absolute monotonic, covering the service wait
+        *and* every write) has passed — an answer the client can still
+        act on, unlike a late frame — and 500 for a render failure.
         Closing the connection cancels this task (and with it the
-        service-side stream, whose pending unshared frames are dropped);
+        service-side work, whose pending unshared frames are dropped);
         a socket-level write failure counts as a client cancellation.
-        ``writer.drain()`` is the flow control: a slow reader stalls the
+        ``writer.drain()`` is the flow control: a slow reader stalls a
         stream, and the service's ``prefetch`` bound caps what can pile
-        up behind it.  The admission controller observes
-        time-to-first-frame only — later inter-frame gaps include the
-        client's own drain stalls, which are not service latency.
-        ``deadline`` covers the whole stream: when it passes, frames
-        stop and the client gets a 504 ERROR instead of END.
+        up behind it.  The admission controller observes the time to
+        the first frame only — later gaps include the client's own
+        drain stalls, which are not service latency.
         """
         sent = 0
         try:
             loop = asyncio.get_running_loop()
             started = loop.time()
-            async for index, result in self.service.stream_trajectory(
-                cloud, cameras, request_class=request_class, deadline=deadline,
-                trace=trace,
-            ):
+            if stream:
+                results = self.service.stream_trajectory(
+                    cloud, cameras, request_class=request_class,
+                    deadline=deadline, trace=trace,
+                )
+            else:
+                results = _one_frame(
+                    self.service.render_frame(
+                        cloud, cameras[0], request_class=request_class,
+                        deadline=deadline, trace=trace,
+                    )
+                )
+            async for index, result in results:
                 if sent == 0:
                     self._observe(request_class, loop.time() - started)
                 payload = protocol.encode_result_frame(
@@ -964,12 +433,13 @@ class RenderGateway:
                     )
                 sent += 1
                 self.stats.frames_sent += 1
-            await self._send(
-                conn,
-                protocol.encode_frame(
-                    MessageType.END, {"request_id": request_id, "frames": sent}
-                ),
-            )
+            if stream:
+                await self._send(
+                    conn,
+                    protocol.encode_frame(
+                        MessageType.END, {"request_id": request_id, "frames": sent}
+                    ),
+                )
         except asyncio.CancelledError:
             raise
         except asyncio.TimeoutError:
@@ -978,149 +448,24 @@ class RenderGateway:
                 conn,
                 request_id,
                 ErrorCode.DEADLINE_EXCEEDED,
-                f"stream deadline exceeded after {sent} frames",
+                f"stream deadline exceeded after {sent} frames"
+                if stream
+                else "deadline exceeded before the frame was ready",
             )
         except (ConnectionError, OSError):
             self.stats.cancelled_requests += 1
         except Exception as exc:
             self.stats.errors += 1
             await self._send_error(
-                conn, request_id, ErrorCode.INTERNAL, f"stream failed: {exc}"
+                conn,
+                request_id,
+                ErrorCode.INTERNAL,
+                f"{'stream' if stream else 'render'} failed: {exc}",
             )
 
-    async def _send(
-        self,
-        conn: _Connection,
-        payload: bytes,
-        *,
-        deadline: "float | None" = None,
-    ) -> None:
-        """Write one frame atomically (streams interleave on one socket).
-
-        The flush is bounded by ``write_timeout`` (and, tighter, by the
-        request's remaining ``deadline`` budget when given): a stalled
-        reader becomes a :class:`ConnectionError` on *this* connection
-        instead of a task wedged holding the write lock — and with it
-        an admission slot — forever.
-        """
-        timeout = self.write_timeout
-        if deadline is not None:
-            remaining = max(0.001, deadline - time.monotonic())
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        async with conn.wlock:
-            conn.writer.write(payload)
-            await drain_within(conn.writer, timeout, "frame write")
-
-    async def _send_error(
-        self,
-        conn: _Connection,
-        request_id: "int | None",
-        code: ErrorCode,
-        message: str,
-        *,
-        retry_after_ms: "int | None" = None,
-        draining: bool = False,
-    ) -> None:
-        """Best-effort ERROR frame (the peer may already be gone)."""
-        header = {
-            "request_id": request_id,
-            "code": int(code),
-            "message": message,
-        }
-        if retry_after_ms is not None:
-            header["retry_after_ms"] = int(retry_after_ms)
-        if draining:
-            header["draining"] = True
-        try:
-            await self._send(
-                conn, protocol.encode_frame(MessageType.ERROR, header)
-            )
-        except (ConnectionError, OSError):
-            pass
-
-    # -- HTTP adapter ----------------------------------------------------
-    async def _handle_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One HTTP/1.1 exchange (``Connection: close`` semantics).
-
-        The handler registers itself with the gateway's task set so
-        :meth:`close` cancels in-flight HTTP work too — otherwise a
-        shutdown would leave detached renders running and their
-        admission slots held until they happened to finish.
-        """
-        self.stats.http_requests += 1
-        handler = asyncio.current_task()
-        if handler is not None:
-            self._conn_tasks.add(handler)
-        try:
-            target = await read_http_get(reader, writer)
-            if target is not None:
-                await self._http_route(writer, target)
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Gateway shutdown; admission tickets are context-managed
-            # and already released by the time this propagates here.
-            pass
-        finally:
-            if handler is not None:
-                self._conn_tasks.discard(handler)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _http_route(self, writer: asyncio.StreamWriter, target: str) -> None:
-        """Dispatch one GET target to /healthz, /stats, /metrics,
-        /traces, /render or /stream."""
-        url = urlsplit(target)
-        query = dict(parse_qsl(url.query))
-        if url.path == "/healthz":
-            await http_reply(writer, 200, {"status": "ok"})
-        elif url.path == "/stats":
-            await http_reply(
-                writer,
-                200,
-                {
-                    "service": self.service.stats_dict(),
-                    "gateway": {
-                        **asdict(self.stats),
-                        "admission": self.admission.stats_dict(),
-                    },
-                },
-            )
-        elif url.path == "/metrics":
-            await http_reply(writer, 200, self.metrics_dict())
-        elif url.path == "/traces":
-            try:
-                limit = (
-                    int(query["limit"]) if "limit" in query else None
-                )
-            except ValueError:
-                await http_reply(
-                    writer, 400, {"error": "limit must be an integer"}
-                )
-                return
-            await http_reply(
-                writer,
-                200,
-                self.traces_dict(trace=query.get("trace"), limit=limit),
-            )
-        elif url.path == "/render":
-            await self._http_render(writer, query)
-        elif url.path == "/stream":
-            await self._http_stream(writer, query)
-        else:
-            await http_reply(
-                writer, 404, {"error": f"no route {url.path}"}
-            )
-
-    async def _http_render(
-        self, writer: asyncio.StreamWriter, query: "dict[str, str]"
-    ) -> None:
-        """``/render?scene=NAME&view=I[&format=ppm|json]``."""
+    # -- HTTP adapter: /render and /stream over the named scenes ---------
+    async def _http_fulfil(self, writer, path, target, query) -> None:
+        """Resolve ``scene`` to a named orbit, then render or stream."""
         name = query.get("scene")
         cameras = self._orbits.get(name or "")
         if cameras is None:
@@ -1132,7 +477,28 @@ class RenderGateway:
                     "scenes": sorted(self._orbits),
                 },
             )
-            return
+        elif path == "/render":
+            await self._http_render(writer, query, name, cameras)
+        else:
+            await self._http_stream(writer, query, name, cameras)
+
+    async def _http_admit(self, writer, query, *, stream: bool):
+        """Admit an HTTP request, or answer the refusal and return None."""
+        try:
+            return self._admit(query.get("class"), stream=stream)
+        except AdmissionRejected as exc:
+            await http_reply(
+                writer,
+                429,
+                {"error": str(exc), "retry_after_ms": exc.retry_after_ms},
+            )
+        except ProtocolError as exc:
+            # Unknown request class (400) or shutting down (503).
+            await http_reply(writer, int(exc.code), {"error": str(exc)})
+        return None
+
+    async def _http_render(self, writer, query, name, cameras) -> None:
+        """``/render?scene=NAME&view=I[&format=ppm|json]``."""
         try:
             view = int(query.get("view", "0"))
         except ValueError:
@@ -1150,18 +516,8 @@ class RenderGateway:
                 writer, 400, {"error": "format must be 'ppm' or 'json'"}
             )
             return
-        try:
-            ticket = self._admit(query.get("class"), stream=False)
-        except AdmissionRejected as exc:
-            await http_reply(
-                writer,
-                429,
-                {"error": str(exc), "retry_after_ms": exc.retry_after_ms},
-            )
-            return
-        except ProtocolError as exc:
-            # Unknown request class (400) or shutting down (503).
-            await http_reply(writer, int(exc.code), {"error": str(exc)})
+        ticket = await self._http_admit(writer, query, stream=False)
+        if ticket is None:
             return
         with ticket:
             try:
@@ -1193,9 +549,7 @@ class RenderGateway:
                 timeout=self.write_timeout,
             )
 
-    async def _http_stream(
-        self, writer: asyncio.StreamWriter, query: "dict[str, str]"
-    ) -> None:
+    async def _http_stream(self, writer, query, name, cameras) -> None:
         """``/stream?scene=NAME[&frames=K][&start=I][&format=json|ppm]``.
 
         A chunked multi-frame response streamed as the frames complete:
@@ -1212,18 +566,6 @@ class RenderGateway:
         a complete stream (``eos`` present, ``frames`` matching) from a
         mid-body truncation without trusting chunk framing alone.
         """
-        name = query.get("scene")
-        cameras = self._orbits.get(name or "")
-        if cameras is None:
-            await http_reply(
-                writer,
-                404,
-                {
-                    "error": f"unknown scene {name!r}",
-                    "scenes": sorted(self._orbits),
-                },
-            )
-            return
         try:
             start = int(query.get("start", "0"))
             frames = int(query.get("frames", str(len(cameras) - start)))
@@ -1250,18 +592,8 @@ class RenderGateway:
                 writer, 400, {"error": "format must be 'ppm' or 'json'"}
             )
             return
-        try:
-            ticket = self._admit(query.get("class"), stream=True)
-        except AdmissionRejected as exc:
-            await http_reply(
-                writer,
-                429,
-                {"error": str(exc), "retry_after_ms": exc.retry_after_ms},
-            )
-            return
-        except ProtocolError as exc:
-            # Unknown request class (400) or shutting down (503).
-            await http_reply(writer, int(exc.code), {"error": str(exc)})
+        ticket = await self._http_admit(writer, query, stream=True)
+        if ticket is None:
             return
         with ticket:
             try:
@@ -1314,6 +646,11 @@ class RenderGateway:
                 # Mid-body failure: the truncated chunk stream is the
                 # signal.
                 self.stats.errors += 1
+
+
+async def _one_frame(render):
+    """A one-shot render as a one-frame stream: ``(0, result)``."""
+    yield 0, await render
 
 
 def _frame_record(name: str, view: int, result) -> dict:

@@ -417,8 +417,11 @@ async def drain_within(
         await writer.drain()
         return
     try:
-        await asyncio.wait_for(writer.drain(), timeout)
-    except asyncio.TimeoutError:
+        # Not wait_for: on 3.11 it can swallow a cancel that lands as
+        # the drain completes, and a cancelled stream writes on.
+        async with asyncio.timeout(timeout):
+            await writer.drain()
+    except TimeoutError:
         transport = writer.transport
         if transport is not None:
             transport.abort()

@@ -11,6 +11,7 @@ backend exits 0 after a clean drain.
 """
 
 import asyncio
+import socket
 import time
 from dataclasses import replace
 
@@ -36,7 +37,8 @@ from repro.serve import (
     RenderGateway,
     RenderService,
 )
-from repro.serve.protocol import ErrorCode
+from repro.serve import protocol
+from repro.serve.protocol import ErrorCode, MessageType
 from repro.tiles.boundary import BoundaryMethod
 from tests.conftest import make_cloud
 
@@ -177,6 +179,59 @@ class TestGatewayDrain:
         # First attempt got the 503 + 300 ms hint; the pool's own
         # backoff is ~1 ms, so any sleep this long is the hint's floor.
         assert elapsed >= 0.3
+
+    def test_drain_returns_past_a_peer_that_never_reads(self, renderer):
+        """A peer that stops reading parks its stream's flush — holding
+        the connection's write lock — for up to ``write_timeout``.  The
+        grace must still bound the drain: no BYE queued behind that
+        lock, no close waiting for the peer to take the bytes left in
+        the transport.  ``wait_for`` is a hang bound, not a timing
+        claim."""
+        rng = np.random.default_rng(59)
+        cloud = make_cloud(30, rng)
+        cameras = [
+            Camera(width=256, height=192, fx=200.0 + i, fy=200.0 + i)
+            for i in range(4)
+        ] * 10  # ~24 MB of frames: far more than socket buffers hold
+
+        async def main():
+            async with RenderService(
+                renderer, max_batch_size=4, max_wait=0.002
+            ) as service:
+                gateway = RenderGateway(service, write_timeout=3600)
+                gateway.register_scene("demo", cloud)
+                await gateway.start()
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.connect(("127.0.0.1", gateway.tcp_port))
+                reader, writer = await asyncio.open_connection(sock=sock)
+                try:
+                    await protocol.read_frame(reader)  # HELLO
+                    writer.write(
+                        protocol.encode_frame(
+                            MessageType.STREAM,
+                            {
+                                "request_id": 1,
+                                "scene_id": "demo",
+                                "cameras": [
+                                    protocol.encode_camera(camera)
+                                    for camera in cameras
+                                ],
+                            },
+                        )
+                    )
+                    await writer.drain()
+                    # ...and never read again.  Wait for the flush to park.
+                    while not any(
+                        conn.wlock.locked() for conn in gateway._conns
+                    ):
+                        await asyncio.sleep(0.01)
+                    return await asyncio.wait_for(gateway.drain(0.2), 30.0)
+                finally:
+                    writer.close()
+                    await gateway.close()
+
+        assert asyncio.run(main()) is False  # the stream was cut, honestly
 
 
 class TestRouterDrain:
@@ -347,6 +402,25 @@ class TestRouterDrain:
                 ref = reference[index % len(reference)]
                 assert np.array_equal(result.image, ref.image)
 
+    @pytest.mark.parametrize("kind", ["gateway", "router"])
+    def test_zero_grace_is_a_valid_drain(self, renderer, kind):
+        """``drain(0)`` means "do not wait": with nothing in flight it
+        is a clean drain on either server."""
+
+        async def main():
+            async with RenderService(renderer) as service:
+                if kind == "gateway":
+                    server = RenderGateway(service)
+                else:
+                    cluster_map = ClusterMap([BackendSpec("b0", "127.0.0.1", 1)])
+                    server = ShardRouter(
+                        cluster_map, monitor=HealthMonitor(cluster_map)
+                    )
+                await server.start()
+                return await server.drain(0)
+
+        assert asyncio.run(main()) is True
+
     def test_set_draining_gates_instantly_and_probe_success_clears(self):
         specs = [BackendSpec("b0", "127.0.0.1", 1)]
         monitor = HealthMonitor(ClusterMap(specs, replication=1))
@@ -361,7 +435,10 @@ class TestRouterDrain:
 
 
 class TestFleetSigterm:
-    def test_sigterm_mid_stream_fails_over_without_dropping_frames(self):
+    @pytest.mark.parametrize("victim_link", ["dropped", "resumed"])
+    def test_sigterm_mid_stream_fails_over_without_dropping_frames(
+        self, victim_link
+    ):
         """SIGTERM with a short ``--drain-grace`` while a stream is in
         flight: the grace expires (honestly reported via exit code 1),
         the router fails over, and the client sees every frame exactly
@@ -370,9 +447,12 @@ class TestFleetSigterm:
         The straddle is structural, not a race against how fast a
         backend streams: the victim's link runs through a proxy that
         goes silent a few frames in, for several times the grace, and
-        then drops.  However quickly the victim can produce frames, its
-        stream is stuck behind an unread socket — still in flight —
-        when the grace expires."""
+        then either drops or resumes relaying.  However quickly the
+        victim can produce frames, its stream is stuck behind an unread
+        socket — still in flight — when the grace expires.  A resumed
+        link must not let the victim finish the stream after its grace:
+        the drain stops its frames at the grace, and the rest arrive
+        from the replica."""
         rng = np.random.default_rng(61)
         cloud = make_cloud(25, rng)
         base = [
@@ -396,13 +476,12 @@ class TestFleetSigterm:
         ).backend_id
         # Frames are ~98 KB: every link through the proxy relays four
         # of them, then nothing for 1 s (the SIGTERM below lands at the
-        # start of that hold; the grace is 0.2 s), then resets.
-        schedule = ChaosSchedule(
-            default=[
-                Fault(FaultKind.DELAY, after_bytes=400_000, duration=1.0),
-                Fault(FaultKind.RESET, after_bytes=400_001),
-            ]
-        )
+        # start of that hold; the grace is 0.2 s), then resets or
+        # resumes.
+        faults = [Fault(FaultKind.DELAY, after_bytes=400_000, duration=1.0)]
+        if victim_link == "dropped":
+            faults.append(Fault(FaultKind.RESET, after_bytes=400_001))
+        schedule = ChaosSchedule(default=faults)
 
         async def main():
             real = next(s for s in specs if s.backend_id == victim)

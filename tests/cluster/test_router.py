@@ -899,6 +899,56 @@ class TestHttpFrontEnd:
         assert out["down"][0] == 503
         assert out["down_health"][0] == 503
 
+    def test_close_ends_an_in_flight_proxied_stream(self):
+        """``close()`` ends the router's HTTP handlers as it ends its TCP
+        ones: a proxied ``/stream`` still relaying when the router
+        closes must not run on detached.  The backend here sends a
+        chunked 200 head and then holds the body, so the stream is in
+        flight for as long as the test wants."""
+
+        async def main():
+            release = asyncio.Event()
+
+            async def held_backend(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(
+                    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                )
+                await writer.drain()
+                await release.wait()
+                writer.close()
+
+            backend = await asyncio.start_server(held_backend, "127.0.0.1", 0)
+            port = backend.sockets[0].getsockname()[1]
+            cluster_map = ClusterMap(
+                [BackendSpec("b0", "127.0.0.1", port, http_port=port)],
+                replication=1,
+            )
+            router = ShardRouter(cluster_map, monitor=HealthMonitor(cluster_map))
+            await router.start_http()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.http_port
+            )
+            try:
+                writer.write(b"GET /stream?scene=demo HTTP/1.1\r\nHost: t\r\n\r\n")
+                await writer.drain()
+                await reader.readuntil(b"\r\n\r\n")  # relayed: in flight
+                await router.close()
+                return [
+                    task
+                    for task in asyncio.all_tasks()
+                    if not task.done()
+                    and task.get_coro().__name__ == "_handle_http"
+                    and task.get_coro().cr_frame.f_locals.get("self") is router
+                ]
+            finally:
+                release.set()
+                writer.close()
+                backend.close()
+                await backend.wait_closed()
+
+        assert asyncio.run(main()) == []
+
 
 class TestLiveMembership:
     def test_added_backend_takes_new_scenes(self, renderer):
