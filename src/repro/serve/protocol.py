@@ -422,7 +422,7 @@ async def drain_within(
         # drain still runs as a task of its own, as wait_for ran it:
         # awaited inline, a stream refills its buffer a loop turn or two
         # sooner and the other connections' first frames wait behind
-        # it (gateway_replay ttff_ms_p50 +25 %, measured).
+        # it (gateway_replay ttff_ms_p50 +25 % on a 2-core VM).
         async with asyncio.timeout(timeout):
             await asyncio.ensure_future(writer.drain())
     except TimeoutError:
