@@ -83,7 +83,7 @@ def measure_engine_trajectory(scene, cameras, workers: int) -> "tuple[float, flo
     """(seed_s, fast_s): sequential per-tile renders vs the batch engine."""
     renderer = GSTGRenderer(16, 64, BoundaryMethod.ELLIPSE)
     engine = RenderEngine(renderer)
-    # Warm both paths (first-call allocations, forked-worker imports).
+    # Warm both paths (first-call allocations, render pool start).
     renderer.render(scene.cloud, cameras[0])
     engine.render_trajectory(scene.cloud, cameras[:2], workers=workers)
     seed_s = best_of(

@@ -2,7 +2,8 @@
 
 Renders an 8-camera synthetic orbit trajectory twice per pipeline —
 sequentially through the seed per-tile renderers, then through
-``RenderEngine.render_trajectory`` with a 4-worker pool — and reports
+``RenderEngine.render_trajectory`` with ``workers=4``, i.e. on the
+process-wide render pool (one worker per CPU) — and reports
 frames/sec.  The engine must be at least 2x faster while producing
 bit-identical images (the vectorized path shares every per-pixel
 arithmetic step with the sequential one, so this is an equality check,
@@ -84,8 +85,8 @@ def _measure(renderer):
     scene, cameras = _workload()
     engine = RenderEngine(renderer)
 
-    # Warm-up: touch both paths once (first-call allocations, imports in
-    # forked workers) so the timed rounds measure steady-state rendering.
+    # Warm-up: touch both paths once (first-call allocations, render
+    # pool start) so the timed rounds measure steady-state rendering.
     renderer.render(scene.cloud, cameras[0])
     engine.render_trajectory(scene.cloud, cameras[:2], workers=NUM_WORKERS)
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro import GSTGRenderer, load_scene
 from repro.cluster import ClusterMap, LocalFleet, ShardRouter
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.scenes.trajectory import orbit_cameras
 from repro.serve import AsyncGatewayClient, verify_streamed_images
 from repro.tiles.boundary import BoundaryMethod

@@ -13,10 +13,9 @@ Subcommands::
 All commands are deterministic given ``--seed``; ``render`` and
 ``trajectory`` go through the vectorized :class:`repro.engine.RenderEngine`
 (bit-identical to the sequential renderers — including the two-level
-``--pipeline hierarchical``).  ``trajectory --shared-cache`` backs the
-projection cache with shared memory so worker processes reuse each
-other's projections.  ``serve`` starts the asyncio streaming render
-service (:mod:`repro.serve`) and drives it with concurrent
+``--pipeline hierarchical``); ``trajectory --workers 2`` or more renders
+on the engine's process-wide render pool.  ``serve`` starts the asyncio
+streaming render service (:mod:`repro.serve`) and drives it with concurrent
 trajectory-streaming clients — the built-in load generator — reporting
 throughput and the micro-batching/caching counters; ``--verify`` checks
 every streamed frame bit-for-bit against direct engine renders.  With
@@ -51,7 +50,6 @@ from repro.core.hierarchical import HierarchicalGSTGRenderer
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
 from repro.experiments.cache import RenderCache
-from repro.experiments.shm_cache import SharedProjectionCache
 from repro.hardware import (
     GSCORE_CONFIG,
     GSTG_CONFIG,
@@ -210,40 +208,15 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     from repro.scenes.trajectory import orbit_cameras
 
-    if args.shared_cache and args.no_engine:
-        raise SystemExit(
-            "--shared-cache requires the batch engine (the sequential "
-            "path projects internally and never consults a cache); "
-            "drop --no-engine"
-        )
     scene = load_scene(args.scene, resolution_scale=args.scale, seed=args.seed)
-    # Bounded: a trajectory of distinct views never re-hits old entries,
-    # so retaining more than a small window would only grow /dev/shm.
-    cache = (
-        SharedProjectionCache(max_entries=max(2 * args.workers, 8))
-        if args.shared_cache
-        else None
-    )
-    engine = RenderEngine(
-        _make_renderer(args), cache=cache, vectorized=not args.no_engine
-    )
+    engine = RenderEngine(_make_renderer(args), vectorized=not args.no_engine)
     cameras = orbit_cameras(scene, args.views)
 
     start = time.perf_counter()
-    try:
-        trajectory = engine.render_trajectory(
-            scene.cloud, cameras, workers=args.workers, executor=args.executor
-        )
-        elapsed = time.perf_counter() - start
-    finally:
-        if cache is not None:
-            stats = cache.stats()
-            cache.close()
-    if cache is not None:
-        print(
-            f"shared projection cache: {stats['hits']} hits, "
-            f"{stats['misses']} misses"
-        )
+    trajectory = engine.render_trajectory(
+        scene.cloud, cameras, workers=args.workers
+    )
+    elapsed = time.perf_counter() - start
 
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -501,8 +474,8 @@ async def _run_cluster(args, fleet, router, names, serve_http) -> int:
     """``repro cluster`` with its router up: serve, or drive and report."""
     import asyncio
 
-    from repro.experiments.shm_cache import cloud_fingerprint
     from repro.cluster.supervisor import drive_fleet
+    from repro.gaussians.cloud import cloud_fingerprint
     from repro.scenes.trajectory import orbit_cameras
     from repro.serve import AsyncGatewayClient, verify_streamed_images
 
@@ -853,7 +826,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     """Re-run a capture's render workload on a simulated accelerator."""
-    from repro.experiments.shm_cache import cloud_fingerprint
+    from repro.gaussians.cloud import cloud_fingerprint
     from repro.trace import build_config, load_spans, replay
 
     try:
@@ -961,18 +934,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_renderer_options(trajectory)
     trajectory.add_argument("--views", type=int, default=8, help="orbit views")
     trajectory.add_argument(
-        "--workers", type=int, default=1, help="worker pool size"
+        "--workers", type=int, default=1,
+        help="1 renders serially; 2 or more renders on the process-wide "
+        "render pool (one worker per CPU, whatever the number)",
     )
     trajectory.add_argument(
-        "--executor", choices=("process", "thread"), default="process"
+        "--executor", choices=("process", "thread"), default="process",
+        help="ignored; kept so that existing scripts still run",
     )
     trajectory.add_argument(
         "--shared-cache", action="store_true",
-        help="back the projection cache with shared memory, shared across "
-        "worker processes; pays off when the same views are projected "
-        "more than once (orbit views are all distinct, so a single pass "
-        "reports misses only — see repro.experiments.multiview for a "
-        "workload where the sharing wins)",
+        help="ignored; kept so that existing scripts still run",
     )
     trajectory.add_argument(
         "--out-dir", default="", help="write view_NNN.ppm frames here"

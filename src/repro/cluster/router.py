@@ -81,7 +81,7 @@ import socket
 import time
 from dataclasses import asdict, dataclass
 
-from repro.experiments.shm_cache import cloud_fingerprint
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
 from repro.serve.auth import resolve_auth_token
@@ -431,13 +431,19 @@ class BackendLink:
         self.pushed_scenes.add(scene_id)
 
     async def close(self) -> None:
-        """Tear the connection down (BYE best effort)."""
+        """Tear the connection down (BYE best effort, bounded by
+        ``write_timeout``: a backend that stops reading cannot hold the
+        close)."""
         self._closed = True
         if self._writer is not None:
             try:
                 async with self._wlock:
                     self._writer.write(protocol.encode_frame(MessageType.BYE))
-                    await self._writer.drain()
+                    await protocol.drain_within(
+                        self._writer,
+                        self.write_timeout,
+                        f"BYE to backend {self.spec.backend_id}",
+                    )
             except (ConnectionError, OSError):
                 pass
             self._writer.close()

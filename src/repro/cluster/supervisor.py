@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
-from repro.experiments.shm_cache import cloud_fingerprint
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.serve.auth import AUTH_TOKEN_ENV, resolve_auth_token
 from repro.serve.client import AsyncGatewayClient
 

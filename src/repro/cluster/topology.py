@@ -24,8 +24,8 @@ Why rendezvous hashing (and not a mod-N table or a ring):
   separate replica placement logic.
 
 Scene keys are opaque strings: content fingerprints
-(:func:`repro.experiments.shm_cache.cloud_fingerprint`) for clouds
-pushed over the wire, plain names for pre-registered scenes.  Keeping a
+(:func:`repro.gaussians.cloud.cloud_fingerprint`) for clouds pushed
+over the wire, plain names for pre-registered scenes.  Keeping a
 scene's requests on its owner is what makes the owner's projection and
 render caches *hot* — the cluster-level analogue of the paper's
 tile-grouping locality argument.

@@ -1,4 +1,4 @@
-"""The batch render engine: vectorized frames, parallel trajectories.
+"""The batch render engine: vectorized frames, one render pool.
 
 :class:`RenderEngine` wraps any :class:`repro.engine.protocol.Renderer`
 and provides
@@ -9,12 +9,13 @@ and provides
   renderer's path lives in :mod:`repro.engine.hierarchical`), falling
   back to the renderer's own ``render`` for unknown implementations.
   Output (image *and* stats) is bit-identical to the sequential path.
-* ``render_trajectory`` — a multi-camera batch API with a
-  ``concurrent.futures`` worker pool, shared projection caching keyed on
-  ``(cloud, camera)`` via :class:`repro.experiments.cache.ProjectionCache`,
-  and aggregated :class:`repro.raster.stats.RenderStats` merging.
+* ``render_trajectory`` — a multi-camera batch API, serial in-process
+  (projections through :class:`repro.experiments.cache.ProjectionCache`)
+  or, with ``workers > 1``, on the render pool, with aggregated
+  :class:`repro.raster.stats.RenderStats` merging.
 * :func:`render_in_pool` — single frames of any scene and renderer on
-  one process-wide forkserver pool, the serving layer's miss path.
+  one process-wide forkserver pool: the only pool in the process, shared
+  by trajectories, ``run_multiview`` and the serving layer's misses.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ from repro.engine.batch import (
 from repro.engine.hierarchical import render_hierarchical_batched
 from repro.engine.protocol import Renderer
 from repro.experiments.cache import ProjectionCache
-from repro.experiments.shm_cache import SharedProjectionCache, cloud_fingerprint
 from repro.gaussians.camera import Camera
 from repro.gaussians.cloud import GaussianCloud
 from repro.gaussians.projection import ProjectedGaussians
@@ -158,56 +158,6 @@ def _render_gstg_batched(
     )
 
 
-#: Worker-process state set once by the pool initializer: the scene and
-#: a worker-local engine are shipped per *worker*, not per camera.
-_WORKER_STATE: "tuple[RenderEngine, GaussianCloud, object | None] | None" = None
-
-
-def _worker_init(
-    renderer: Renderer,
-    vectorized: bool,
-    cloud: GaussianCloud,
-    shared_cache: "SharedProjectionCache | None" = None,
-    render_store=None,
-) -> None:
-    """Pool initializer: build the worker's engine and pin the cloud.
-
-    Trajectory cameras are all distinct, so a worker's *private*
-    projection cache can never hit — a single-slot cache stops it from
-    retaining every frame's per-Gaussian arrays for the pool's lifetime.
-    A :class:`SharedProjectionCache`, by contrast, is backed by shared
-    memory the whole pool (and the parent) sees, so workers reuse any
-    projection another process already computed instead of re-projecting
-    the cloud per process.
-    """
-    global _WORKER_STATE
-    cache = (
-        shared_cache
-        if shared_cache is not None
-        else ProjectionCache(max_entries=1)
-    )
-    engine = RenderEngine(renderer, cache=cache, vectorized=vectorized)
-    _WORKER_STATE = (engine, cloud, render_store)
-
-
-def _render_task(camera: Camera) -> RenderResult:
-    """Worker-side single-frame render (module-level for picklability).
-
-    Only the image and the stats travel back to the parent: the
-    projection and assignment arrays are O(cloud)/O(pairs) per frame and
-    no trajectory consumer reads them, so shipping them through the
-    result pipe would tax exactly the parallelism the pool exists for.
-    A shared render store short-circuits the whole frame: a view any
-    process already rendered is served from its shared segment.
-    """
-    assert _WORKER_STATE is not None, "worker pool not initialised"
-    engine, cloud, render_store = _WORKER_STATE
-    result = engine._render_stored(cloud, camera, render_store)
-    return RenderResult(
-        image=result.image, stats=result.stats, projected=None, assignment=None
-    )
-
-
 def _render_view_task(
     renderer: Renderer, vectorized: bool, cloud: GaussianCloud, camera: Camera
 ) -> "tuple[int, RenderResult]":
@@ -216,8 +166,10 @@ def _render_view_task(
     A worker serves every scene and renderer of its process, so nothing
     is pinned: the cloud travels with the task and a throwaway engine on
     a single-slot projection cache renders it.  Returns the worker's pid
-    beside the worker contract's result (image and stats only, as
-    :func:`_render_task`).
+    beside the worker contract's result: image and stats only, because
+    the projection and assignment arrays are O(cloud)/O(pairs) per frame
+    and shipping them through the result pipe would tax exactly the
+    parallelism the pool exists for.
     """
     engine = RenderEngine(
         renderer, cache=ProjectionCache(max_entries=1), vectorized=vectorized
@@ -305,131 +257,6 @@ def render_in_pool(
         raise
 
 
-class TrajectoryPool:
-    """A reusable worker pool pinned to one ``(renderer, cloud)`` pair.
-
-    ``render_trajectory`` builds and tears down its pool per call, which
-    is the right shape for one big batch but wrong for a caller
-    rendering many small batches of one scene: pool startup (process
-    spawn/fork + initializer) would dominate every batch.  A
-    ``TrajectoryPool`` pays that cost once — create it via
-    :meth:`RenderEngine.open_pool`, pass it to any number of
-    ``render_trajectory(pool=...)`` calls (or call :meth:`map` directly),
-    and :meth:`close` it when the scene's traffic ends.
-
-    The pool is pinned to the cloud it was opened with (worker processes
-    hold it in their initializer state); rendering a different cloud
-    through it raises.  Clouds are compared by content fingerprint, so
-    any equal-parameter cloud object is accepted.
-
-    Frames are bit-identical to :meth:`RenderEngine.render` for every
-    executor and worker count — the pool only changes *where* a frame is
-    rendered.
-    """
-
-    def __init__(
-        self,
-        engine: "RenderEngine",
-        cloud: GaussianCloud,
-        workers: int,
-        *,
-        executor: str = "process",
-        render_store=None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        if executor not in ("process", "thread"):
-            raise ValueError(
-                f"executor must be 'process' or 'thread', got {executor!r}"
-            )
-        self.engine = engine
-        self.workers = workers
-        self.executor = executor
-        self.render_store = render_store
-        self.cloud_fingerprint = cloud_fingerprint(cloud)
-        self._closed = False
-        # Serial/thread execution renders through a single-slot-cache
-        # runner exactly as render_trajectory does (distinct trajectory
-        # cameras never re-hit, so retaining projections only costs
-        # memory); a caller-supplied cache is respected.
-        if engine._owns_cache:
-            self._runner = RenderEngine(
-                engine.renderer,
-                cache=ProjectionCache(max_entries=1),
-                vectorized=engine.vectorized,
-            )
-        else:
-            self._runner = engine
-        if workers <= 1:
-            self._pool = None
-        elif executor == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-        else:
-            context = (
-                multiprocessing.get_context("fork")
-                if multiprocessing.get_start_method() == "fork"
-                else None
-            )
-            shared_cache = (
-                engine.cache
-                if isinstance(engine.cache, SharedProjectionCache)
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(
-                    engine.renderer,
-                    engine.vectorized,
-                    cloud,
-                    shared_cache,
-                    render_store,
-                ),
-            )
-
-    def map(
-        self, cloud: GaussianCloud, cameras: "list[Camera] | tuple[Camera, ...]"
-    ) -> "list[RenderResult]":
-        """Render ``cameras`` of the pinned cloud across the pool."""
-        if self._closed:
-            raise RuntimeError("TrajectoryPool is closed")
-        if cloud_fingerprint(cloud) != self.cloud_fingerprint:
-            raise ValueError(
-                "TrajectoryPool is pinned to a different cloud; open a pool "
-                "per scene"
-            )
-        if self._pool is None:
-            return [
-                self._runner._render_stored(cloud, camera, self.render_store)
-                for camera in cameras
-            ]
-        if self.executor == "thread":
-            return list(
-                self._pool.map(
-                    lambda cam: self._runner._render_stored(
-                        cloud, cam, self.render_store
-                    ),
-                    cameras,
-                )
-            )
-        return list(self._pool.map(_render_task, cameras))
-
-    def close(self) -> None:
-        """Shut the underlying executor down (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "TrajectoryPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class RenderEngine:
     """Batched, cache-aware front end over a single-camera renderer.
 
@@ -497,36 +324,15 @@ class RenderEngine:
         store.put(cloud, camera, self.renderer, result)
         return result
 
-    def open_pool(
-        self,
-        cloud: GaussianCloud,
-        workers: int,
-        *,
-        executor: str = "process",
-        render_store=None,
-    ) -> TrajectoryPool:
-        """Open a reusable :class:`TrajectoryPool` pinned to ``cloud``.
-
-        Pays worker startup once for many ``render_trajectory(pool=...)``
-        calls.
-        The caller owns the pool's lifecycle (``close()`` or use it as a
-        context manager).
-        """
-        return TrajectoryPool(
-            self, cloud, workers, executor=executor, render_store=render_store
-        )
-
     def render_trajectory(
         self,
         cloud: GaussianCloud,
         cameras: "list[Camera] | tuple[Camera, ...]",
         *,
         workers: int = 1,
-        executor: str = "process",
         render_store=None,
-        pool: "TrajectoryPool | None" = None,
     ) -> TrajectoryResult:
-        """Render a multi-camera batch, optionally across a worker pool.
+        """Render a multi-camera batch, serially or on the render pool.
 
         Parameters
         ----------
@@ -535,112 +341,72 @@ class RenderEngine:
         cameras:
             Views to render, in order.
         workers:
-            Pool size; ``<= 1`` renders serially in-process.  Serial and
-            thread rendering go through a caller-supplied ``cache`` when
-            one was given; an engine-owned default cache is replaced by a
+            ``<= 1`` (or at most one camera) renders serially
+            in-process, through a caller-supplied ``cache`` when one was
+            given; an engine-owned default cache is replaced by a
             single-slot one for the trajectory (distinct orbit cameras
             never re-hit, so retaining every projection would only cost
-            memory).
-        executor:
-            ``"process"`` (default) or ``"thread"``.  Frames are pure
-            functions of ``(cloud, camera)``, so images and stats are
-            identical for any executor and worker count.  Frames
-            rendered in worker *processes* come back with
-            ``projected``/``assignment`` set to ``None`` — those arrays
-            are per-frame O(cloud) and no trajectory consumer reads
-            them, so they are not shipped across the process boundary.
-            When this engine's cache is a
-            :class:`repro.experiments.shm_cache.SharedProjectionCache`,
-            the worker processes consult it too: any projection one
-            process computes (this pool, an earlier pool, or the
-            parent) is reused everywhere instead of re-projected.
+            memory).  ``> 1`` renders on the process-wide forkserver
+            pool of :func:`render_in_pool`, which has one worker per CPU
+            whatever the value.  Forkserver workers re-import
+            ``__main__``, so a script that passes ``workers > 1`` needs
+            an ``if __name__ == "__main__":`` guard.  Images and stats
+            are identical either way; pooled frames come back with
+            ``projected``/``assignment`` set to ``None`` (the worker
+            contract: those arrays are O(cloud) per frame and no
+            trajectory consumer reads them).
         render_store:
             Optional :class:`repro.serve.render_cache.SharedRenderCache`:
             a view any process already rendered and published is served
             from shared memory instead of re-rendered, and every frame
             this trajectory renders is published back.  Store-served
             frames are bit-identical (image and stats) but carry
-            ``projected``/``assignment`` as ``None`` — the worker-pool
-            contract.  Works with every executor; process workers
-            receive the (picklable) store through the pool initializer.
-        pool:
-            Optional reusable :class:`TrajectoryPool` from
-            :meth:`open_pool`.  When given it supersedes ``workers`` /
-            ``executor`` / ``render_store`` (they were fixed at pool
-            creation) and the per-call pool startup cost disappears.
+            ``projected``/``assignment`` as ``None``.  Lookups and
+            publishes happen in this process; only misses reach the
+            pool.
         """
         cameras = list(cameras)
-        if pool is not None:
-            results = pool.map(cloud, cameras)
-            return TrajectoryResult(
-                results=results,
-                stats=RenderStats.merged([r.stats for r in results]),
-            )
-        # Trajectory cameras are typically all distinct, so caching their
-        # projections never pays off — when this engine owns its (default)
-        # cache, render through a single-slot stand-in so a long
-        # trajectory does not retain every frame's per-Gaussian arrays.
-        # A caller-supplied cache is respected: it exists to share
-        # projections across engines.
-        if self._owns_cache:
-            runner = RenderEngine(
-                self.renderer,
-                cache=ProjectionCache(max_entries=1),
-                vectorized=self.vectorized,
-            )
+        if workers > 1 and len(cameras) > 1:
+            results = self._render_pooled(cloud, cameras, render_store)
         else:
+            # A caller-supplied cache is respected: it exists to share
+            # projections across engines.
             runner = self
-        if workers <= 1 or len(cameras) <= 1:
+            if self._owns_cache:
+                runner = RenderEngine(
+                    self.renderer,
+                    cache=ProjectionCache(max_entries=1),
+                    vectorized=self.vectorized,
+                )
             results = [
                 runner._render_stored(cloud, camera, render_store)
                 for camera in cameras
             ]
-        elif executor == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda cam: runner._render_stored(
-                            cloud, cam, render_store
-                        ),
-                        cameras,
-                    )
-                )
-        elif executor == "process":
-            # Fork keeps the already-built cloud in the children without
-            # re-importing, but only use it where it is the platform
-            # default (Linux) — on macOS the default is spawn because
-            # forking is unsafe there.
-            context = (
-                multiprocessing.get_context("fork")
-                if multiprocessing.get_start_method() == "fork"
-                else None
-            )
-            # A shared-memory cache crosses the process boundary (its
-            # index and array payloads live in shared segments), so the
-            # workers consult it instead of re-projecting per process.
-            shared_cache = (
-                self.cache
-                if isinstance(self.cache, SharedProjectionCache)
-                else None
-            )
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(
-                    self.renderer,
-                    self.vectorized,
-                    cloud,
-                    shared_cache,
-                    render_store,
-                ),
-            ) as pool:
-                results = list(pool.map(_render_task, cameras))
-        else:
-            raise ValueError(
-                f"executor must be 'process' or 'thread', got {executor!r}"
-            )
         return TrajectoryResult(
             results=results,
             stats=RenderStats.merged([r.stats for r in results]),
         )
+
+    def _render_pooled(
+        self, cloud: GaussianCloud, cameras: "list[Camera]", store
+    ) -> "list[RenderResult]":
+        """Render the store's misses among ``cameras`` on the render pool
+        and publish them; a batch the store fully serves starts no pool."""
+        hits = [
+            None if store is None else store.get(cloud, camera, self.renderer)
+            for camera in cameras
+        ]
+        misses = [camera for camera, hit in zip(cameras, hits) if hit is None]
+        rendered = iter(
+            render_in_pool(self.renderer, self.vectorized, cloud, misses)
+            if misses
+            else ()
+        )
+        results = []
+        for camera, hit in zip(cameras, hits):
+            if hit is None:
+                _, hit = next(rendered)
+                if store is not None:
+                    store.put(cloud, camera, self.renderer, hit)
+            results.append(hit)
+        return results

@@ -14,7 +14,6 @@ from repro.experiments.fig12 import Fig12Row, run_fig12
 from repro.experiments.fig13 import Fig13Row, run_fig13
 from repro.experiments.hardware_eval import HardwareRow, run_hardware_eval
 from repro.experiments.profiling import ProfilingRow, run_profiling_sweep
-from repro.experiments.shm_cache import SharedProjectionCache
 
 __all__ = [
     "Fig3Row",
@@ -25,7 +24,6 @@ __all__ = [
     "ProfilingRow",
     "ProjectionCache",
     "RenderCache",
-    "SharedProjectionCache",
     "run_fig3",
     "run_fig11",
     "run_fig12",

@@ -80,12 +80,12 @@ class ProjectionCache:
         self._projections: "dict[tuple, ProjectedGaussians]" = {}
         # id(cloud) -> weakref guarding against id reuse after gc.
         self._cloud_refs: "dict[int, weakref.ref]" = {}
-        # Guards the dicts (render_trajectory's thread executor shares
-        # one cache across workers); projection itself runs unlocked, so
-        # two threads missing on the same key may both compute — the
-        # first insert wins and both results are identical.  Reentrant
-        # because a gc-triggered weakref callback can run _drop_cloud on
-        # a thread already inside the lock.
+        # Guards the dicts (engines on several threads, such as a render
+        # service's flush threads, may share one cache); projection
+        # itself runs unlocked, so two threads missing on the same key
+        # may both compute — the first insert wins and both results are
+        # identical.  Reentrant because a gc-triggered weakref callback
+        # can run _drop_cloud on a thread already inside the lock.
         self._lock = threading.RLock()
 
     def _drop_cloud(self, cloud_id: int) -> None:

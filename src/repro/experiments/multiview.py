@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
 from repro.experiments.cache import ProjectionCache
-from repro.experiments.shm_cache import SharedProjectionCache
 from repro.hardware.config import GSTG_CONFIG
 from repro.hardware.simulator import simulate_baseline, simulate_gstg
 from repro.raster.renderer import BaselineRenderer
@@ -69,11 +68,12 @@ def run_multiview(
     shared projection cache.  The default serial path renders view by
     view — each test view is projected exactly once (the baseline and
     GS-TG engines reuse it) and only one view's results are live at a
-    time.  ``workers > 1`` instead fans each pipeline's pass over the
-    views out to worker processes, with a shared-memory projection
-    cache spanning the pools: whichever worker projects a view first
-    publishes it, so the GS-TG pass never re-projects what the baseline
-    pass already computed.  Results are identical for any worker count.
+    time.  ``workers > 1`` instead renders each pipeline's pass over the
+    views on the process-wide render pool
+    (:func:`repro.engine.render_in_pool`), where each worker projects
+    its view itself; the caller then needs an
+    ``if __name__ == "__main__":`` guard (the forkserver re-imports
+    ``__main__``).  Results are identical for any worker count.
 
     ``render_store`` optionally plugs a
     :class:`repro.serve.render_cache.SharedRenderCache` under both
@@ -86,22 +86,9 @@ def run_multiview(
     """
     scene = load_scene(scene_name, resolution_scale=resolution_scale, seed=seed)
     views = make_view_set(scene, num_views)
-    shared: "SharedProjectionCache | None" = None
-    if workers > 1:
-        # Sharing across the two pipeline passes requires holding every
-        # test view's projection until the GS-TG pass has consumed it,
-        # so the shared segments occupy O(test views x cloud) bytes of
-        # /dev/shm for the duration — the price of projecting each view
-        # once instead of twice.  The explicit bound caps any growth
-        # beyond the view set.
-        projections: "ProjectionCache | SharedProjectionCache" = (
-            SharedProjectionCache(max_entries=len(views.test_indices))
-        )
-        shared = projections
-    else:
-        # A couple of entries suffice: the two engines share each view's
-        # projection within an iteration; older views are never revisited.
-        projections = ProjectionCache(max_entries=4)
+    # A couple of entries suffice: the two engines share each view's
+    # projection within an iteration; older views are never revisited.
+    projections = ProjectionCache(max_entries=4)
     baseline = RenderEngine(
         BaselineRenderer(tile_size, BoundaryMethod.ELLIPSE), cache=projections
     )
@@ -110,44 +97,40 @@ def run_multiview(
         cache=projections,
     )
 
-    try:
-        test_cameras = list(views.test_cameras)
-        if workers > 1:
-            pairs = zip(
-                baseline.render_trajectory(
-                    scene.cloud, test_cameras, workers=workers,
-                    render_store=render_store,
-                ).results,
-                gstg.render_trajectory(
-                    scene.cloud, test_cameras, workers=workers,
-                    render_store=render_store,
-                ).results,
+    test_cameras = list(views.test_cameras)
+    if workers > 1:
+        pairs = zip(
+            baseline.render_trajectory(
+                scene.cloud, test_cameras, workers=workers,
+                render_store=render_store,
+            ).results,
+            gstg.render_trajectory(
+                scene.cloud, test_cameras, workers=workers,
+                render_store=render_store,
+            ).results,
+        )
+    else:
+        pairs = (
+            (
+                baseline._render_stored(scene.cloud, camera, render_store),
+                gstg._render_stored(scene.cloud, camera, render_store),
             )
-        else:
-            pairs = (
-                (
-                    baseline._render_stored(scene.cloud, camera, render_store),
-                    gstg._render_stored(scene.cloud, camera, render_store),
-                )
-                for camera in test_cameras
-            )
+            for camera in test_cameras
+        )
 
-        rows = []
-        for index, (base, ours) in zip(views.test_indices, pairs):
-            camera = views.cameras[index]
-            w, h = camera.width, camera.height
-            rows.append(
-                ViewRow(
-                    scene=scene_name,
-                    view_index=index,
-                    baseline_ms=simulate_baseline(
-                        base.stats, w, h, GSTG_CONFIG
-                    ).time_ms,
-                    gstg_ms=simulate_gstg(ours.stats, w, h, GSTG_CONFIG).time_ms,
-                    lossless=bool(np.array_equal(base.image, ours.image)),
-                )
+    rows = []
+    for index, (base, ours) in zip(views.test_indices, pairs):
+        camera = views.cameras[index]
+        w, h = camera.width, camera.height
+        rows.append(
+            ViewRow(
+                scene=scene_name,
+                view_index=index,
+                baseline_ms=simulate_baseline(
+                    base.stats, w, h, GSTG_CONFIG
+                ).time_ms,
+                gstg_ms=simulate_gstg(ours.stats, w, h, GSTG_CONFIG).time_ms,
+                lossless=bool(np.array_equal(base.image, ours.image)),
             )
-        return rows
-    finally:
-        if shared is not None:
-            shared.close()
+        )
+    return rows

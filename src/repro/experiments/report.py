@@ -236,7 +236,8 @@ def generate_report(resolution_scale: float = 0.125, seed: int = 0) -> str:
         "",
         "Generated by `python -m repro.experiments.report` from the",
         f"functional simulator at resolution scale {resolution_scale} (seed {seed}).",
-        "Synthetic scenes substitute the pre-trained models (see DESIGN.md);",
+        "Synthetic scenes substitute the pre-trained models (see",
+        "docs/architecture.md, *Why the scenes are synthetic*);",
         "absolute magnitudes are therefore not comparable to the paper's",
         "wall-clock numbers — the reproduced quantity is the *shape*: who",
         "wins, by roughly what factor, and where the crossovers fall.",

@@ -8,6 +8,7 @@ colour coefficients (``SHs``).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,10 @@ import numpy as np
 from repro.gaussians.covariance import build_3d_covariances
 from repro.gaussians.rotation import normalize_quaternions
 from repro.gaussians.sh import MAX_SH_DEGREE
+
+#: Attribute used to memoise a cloud's content fingerprint on the cloud
+#: object itself (inherited by forked workers for free).
+_FINGERPRINT_ATTR = "_content_fingerprint"
 
 
 @dataclass
@@ -112,3 +117,23 @@ class GaussianCloud:
             opacities=np.concatenate([c.opacities for c in clouds]),
             sh_coeffs=np.concatenate([c.sh_coeffs for c in clouds]),
         )
+
+
+def cloud_fingerprint(cloud: GaussianCloud) -> str:
+    """Content hash of a cloud's parameter arrays (memoised per object).
+
+    Two clouds with equal parameters fingerprint identically in any
+    process — unlike ``id(cloud)``, which only survives fork.
+    """
+    cached = getattr(cloud, _FINGERPRINT_ATTR, None)
+    if cached is not None:
+        return cached
+    digest = hashlib.sha256()
+    for name in ("positions", "scales", "rotations", "opacities", "sh_coeffs"):
+        array = np.ascontiguousarray(getattr(cloud, name))
+        digest.update(name.encode())
+        digest.update(str(array.shape).encode())
+        digest.update(array.tobytes())
+    fingerprint = digest.hexdigest()
+    setattr(cloud, _FINGERPRINT_ATTR, fingerprint)
+    return fingerprint

@@ -2,8 +2,8 @@
 
 The paper evaluates on pre-trained 3D-GS models of six real scenes; this
 reproduction substitutes seeded procedural Gaussian clouds with the same
-image resolutions and matched footprint statistics (see DESIGN.md,
-"Substitutions").
+image resolutions and matched footprint statistics (see
+``docs/architecture.md``, *Why the scenes are synthetic*).
 """
 
 from repro.scenes.datasets import DATASETS, SCENES, SceneSpec, get_scene_spec

@@ -30,7 +30,8 @@ class SceneSpec:
         The paper's train/test convention: every Nth image is a test view.
     num_gaussians:
         Synthetic Gaussian budget at ``resolution_scale=1.0`` (scaled-down
-        stand-in for the pre-trained model's millions; see DESIGN.md).
+        stand-in for the pre-trained model's millions; see
+        ``docs/architecture.md``, *Why the scenes are synthetic*).
     world_extent:
         Half-extent of the synthetic scene bounding volume (world units).
     num_clusters:

@@ -1,8 +1,8 @@
 """``repro.serve`` — the async streaming render service layer.
 
-PR 1/2 built the compute substrate (vectorized :class:`RenderEngine`,
-worker pools, shared-memory projection sharing); this package turns it
-into a *service*: many concurrent clients, few engine renders.
+The engine is the compute substrate (vectorized :class:`RenderEngine`
+and its one process-wide render pool); this package turns it into a
+*service*: many concurrent clients, few engine renders.
 
 ::
 
@@ -27,7 +27,8 @@ into a *service*: many concurrent clients, few engine renders.
   view, ``stream_trajectory`` to stream a trajectory's frames in order
   as they complete, with bounded-queue backpressure and cancellation;
   cache misses render on the process-wide render pool, one worker per
-  CPU.
+  CPU — the same pool ``RenderEngine.render_trajectory(workers > 1)``
+  and ``run_multiview`` use.
 * :class:`MicroBatcher` — the micro-batching scheduler.
 * :class:`AdaptiveBatchPolicy` — fast-timescale adaptation of the
   batching knobs against a p95 latency target.

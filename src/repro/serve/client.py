@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
-from repro.gaussians.cloud import GaussianCloud
+from repro.gaussians.cloud import GaussianCloud, cloud_fingerprint
 from repro.raster.renderer import RenderResult
 from repro.serve import protocol
 from repro.serve.auth import resolve_auth_token

@@ -82,8 +82,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.cloud import GaussianCloud
-from repro.experiments.shm_cache import cloud_fingerprint
+from repro.gaussians.cloud import GaussianCloud, cloud_fingerprint
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.protocol import (

@@ -729,8 +729,9 @@ def encode_result_frame(
     header, along with a ``sha256`` digest of the blob (unless
     ``checksum=False``) so relays and clients can detect in-flight
     corruption.  ``projected``/``assignment`` are not shipped — the
-    same contract as frames returned from ``render_trajectory`` worker
-    processes (per-frame O(cloud) arrays no serving consumer reads).
+    same contract as frames returned from the render pool
+    (:func:`repro.engine.render_in_pool`; per-frame O(cloud) arrays no
+    serving consumer reads).
 
     ``backend`` stamps the serving node's id on the frame (stamped
     whether or not tracing is on, so traced and untraced responses stay

@@ -1,22 +1,21 @@
 """Cross-process sharing of *finished renders* via POSIX shared memory.
 
-:class:`repro.experiments.shm_cache.SharedProjectionCache` shares
-projections — the per-view geometry work — across processes.  This
-module extends the same shared-memory pattern one level up, to complete
-:class:`repro.raster.renderer.RenderResult` frames: the rendered image
-and its full :class:`repro.raster.stats.RenderStats` are stored in a
-:mod:`multiprocessing.shared_memory` segment with the index held by a
-manager process, keyed on content fingerprints
+Complete :class:`repro.raster.renderer.RenderResult` frames — the
+rendered image and its full :class:`repro.raster.stats.RenderStats` —
+are stored in a :mod:`multiprocessing.shared_memory` segment with the
+index held by a manager process, keyed on content fingerprints
 ``(cloud, camera, renderer configuration)``.
 
-Any process of the pool family — the asyncio render service, the
-``render_trajectory`` worker pools, the figure-sweep harnesses — can
-therefore consume a frame another process already rendered, and each
-``(scene, view, renderer)`` configuration is rendered **exactly once**
-across all of them.  A hit reconstructs the image as a zero-copy
-read-only view over the shared pages (raw bytes, bit-identical to the
-original render) and the stats via a pickle round trip (exact for every
-counter, including floats).
+Any process — the asyncio render service, a gateway backend, a
+``render_trajectory`` or ``run_multiview`` caller, the figure-sweep
+harnesses — can therefore consume a frame another process already
+rendered, and each ``(scene, view, renderer)`` configuration is
+rendered **exactly once** across all of them.  (``render_trajectory``
+looks hits up and publishes misses in the calling process; only the
+misses travel to the render pool.)  A hit reconstructs the image as a
+zero-copy read-only view over the shared pages (raw bytes,
+bit-identical to the original render) and the stats via a pickle round
+trip (exact for every counter, including floats).
 
 A frame is stored *wire-ready*: beside the image and the pickled stats
 the segment holds the stats' wire JSON, and the index entry the blob's
@@ -27,16 +26,16 @@ hits it has loaded, so a repeat hit costs no IPC at all
 (:meth:`SharedRenderCache.lookup`).
 
 Served results carry ``projected=None`` / ``assignment=None`` — the
-same contract as frames returned from ``render_trajectory`` worker
-processes: those arrays are per-frame O(cloud) and no batch consumer
-reads them.  Consumers that need the projection or assignment should
-render directly instead of going through the cache.
+same contract as frames returned from the render pool
+(:func:`repro.engine.render_in_pool`): those arrays are per-frame
+O(cloud) and no batch consumer reads them.  Consumers that need the
+projection or assignment should render directly instead of going
+through the cache.
 
 The creating process owns the manager and the segments; call
 :meth:`SharedRenderCache.close` (or use the cache as a context manager)
-to unlink everything deterministically.  Like the projection cache, a
-:func:`weakref.finalize` fallback unlinks the segments even when
-``close()`` is never reached.
+to unlink everything deterministically.  A :func:`weakref.finalize`
+fallback unlinks the segments even when ``close()`` is never reached.
 """
 
 from __future__ import annotations
@@ -51,13 +50,8 @@ from multiprocessing import Manager, resource_tracker, shared_memory
 import numpy as np
 
 from repro.experiments.cache import camera_key
-from repro.experiments.shm_cache import (
-    _release,
-    _teardown_owner,
-    cloud_fingerprint,
-)
 from repro.gaussians.camera import Camera
-from repro.gaussians.cloud import GaussianCloud
+from repro.gaussians.cloud import GaussianCloud, cloud_fingerprint
 from repro.raster.renderer import RenderResult
 from repro.serve.protocol import WireResult, wire_result
 from repro.tiles.boundary import BoundaryMethod
@@ -108,6 +102,55 @@ def _load(segment: shared_memory.SharedMemory, entry: tuple) -> WireResult:
     hit.digest = digest
     hit.stats_json = str(segment.buf[pickle_end:json_end], "utf-8")
     return hit
+
+
+#: Segment handles whose mappings are still viewed by live frames when
+#: they are let go.  Holding them here keeps the mmap valid for those
+#: views; the interpreter reclaims everything at exit (the segments
+#: themselves are already unlinked).
+_PINNED_SEGMENTS: "list[shared_memory.SharedMemory]" = []
+
+
+def _release(segment: shared_memory.SharedMemory) -> None:
+    """Close a segment handle, pinning it if frames still view it."""
+    try:
+        segment.close()
+    except BufferError:
+        _PINNED_SEGMENTS.append(segment)
+
+
+def _teardown_owner(manager, index, order) -> None:
+    """Owner-side teardown: unlink every segment, stop the manager.
+
+    Every manager round trip is guarded: at interpreter exit the manager
+    process may already be gone, in which case its own resource tracker
+    reclaims the segments.
+    """
+    try:
+        entries = list(index.values())
+    except Exception:
+        entries = []
+    for entry in entries:
+        try:
+            segment = shared_memory.SharedMemory(name=entry[0])
+        except (FileNotFoundError, OSError):
+            continue
+        try:
+            segment.unlink()
+        except (FileNotFoundError, OSError):
+            pass
+        _release(segment)
+    try:
+        index.clear()
+        while len(order):
+            order.pop()
+    except Exception:
+        pass
+    if manager is not None:
+        try:
+            manager.shutdown()
+        except Exception:
+            pass
 
 
 #: Every live memo, so a forked child can reset the ones it inherited.
@@ -218,7 +261,7 @@ def _teardown(memo: _Memo, owner_pid: int, manager, index, order) -> None:
     """
     memo.clear()
     if os.getpid() == owner_pid:
-        _teardown_owner(manager, index, order, {})
+        _teardown_owner(manager, index, order)
 
 
 class SharedRenderCache:
@@ -257,9 +300,8 @@ class SharedRenderCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive or None")
         self.max_entries = max_entries
-        # As with SharedProjectionCache: start the resource tracker in
-        # the owning process so forked workers inherit it and segments
-        # they create outlive them.
+        # Start the resource tracker in the owning process so forked
+        # workers inherit it and segments they create outlive them.
         resource_tracker.ensure_running()
         self._manager = Manager()
         self._index = self._manager.dict()

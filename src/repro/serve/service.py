@@ -50,9 +50,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine import RenderEngine, render_in_pool
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
-from repro.gaussians.cloud import GaussianCloud
+from repro.gaussians.cloud import GaussianCloud, cloud_fingerprint
 from repro.raster.renderer import RenderResult
 from repro.serve.protocol import encode_camera, wire_result
 from repro.serve.render_cache import SharedRenderCache, render_key

@@ -34,8 +34,8 @@ from repro.chaos import ChaosProxy, ChaosSchedule, Fault, FaultKind
 from repro.cluster import BackendSpec, ClusterMap, HealthMonitor, ShardRouter
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.serve import AsyncGatewayClient, RenderGateway, RenderService
 from repro.tiles.boundary import BoundaryMethod
 from tests.conftest import make_cloud

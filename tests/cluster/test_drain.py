@@ -20,6 +20,7 @@ import pytest
 
 from repro.chaos import ChaosProxy, ChaosSchedule, Fault, FaultKind
 from repro.cluster import (
+    BackendLink,
     BackendSpec,
     ClusterMap,
     HealthMonitor,
@@ -28,8 +29,8 @@ from repro.cluster import (
 )
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.serve import (
     AsyncGatewayClient,
     GatewayClientPool,
@@ -235,6 +236,39 @@ class TestGatewayDrain:
 
 
 class TestRouterDrain:
+    def test_link_close_returns_past_a_backend_that_never_reads(self):
+        """A backend that sends HELLO and then never reads again: the
+        link's BYE flush is bounded by ``write_timeout``, so closing the
+        link cannot wait on the backend.  ``wait_for`` is a hang bound,
+        not a timing claim."""
+
+        async def main():
+            async def wedged(reader, writer):
+                writer.write(protocol.encode_frame(MessageType.HELLO, {}))
+                await writer.drain()
+                await asyncio.Event().wait()  # ...and never read again
+
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.bind(("127.0.0.1", 0))
+            server = await asyncio.start_server(wedged, sock=sock)
+            link = BackendLink(
+                BackendSpec("b0", port=sock.getsockname()[1]),
+                write_timeout=0.2,
+            )
+            try:
+                await link.connect()
+                # Far more than the socket buffers hold: the BYE queues
+                # behind bytes the backend will never take.
+                link._writer.write(bytes(32 << 20))
+                await asyncio.wait_for(link.close(), 30.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return link.connected
+
+        assert asyncio.run(main()) is False
+
     def test_router_drain_completes_streams_and_refuses_new(
         self, renderer, scene, reference
     ):

@@ -21,8 +21,8 @@ import pytest
 from repro.cluster import BackendSpec, ClusterMap, HealthMonitor, ShardRouter
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.serve import (
     AsyncGatewayClient,
     GatewayClientPool,

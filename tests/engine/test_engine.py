@@ -156,15 +156,12 @@ class TestRenderTrajectory:
             sequential = renderer.render(small_cloud, camera)
             assert np.array_equal(result.image, sequential.image)
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_workers_bit_identical(self, small_cloud, executor):
+    def test_workers_bit_identical(self, small_cloud):
         renderer = BaselineRenderer(16, BoundaryMethod.ELLIPSE)
         cameras = _orbit(4)
         engine = RenderEngine(renderer)
         serial = engine.render_trajectory(small_cloud, cameras)
-        parallel = engine.render_trajectory(
-            small_cloud, cameras, workers=2, executor=executor
-        )
+        parallel = engine.render_trajectory(small_cloud, cameras, workers=2)
         for a, b in zip(serial.results, parallel.results):
             assert np.array_equal(a.image, b.image)
         assert dataclasses.asdict(serial.stats) == dataclasses.asdict(
@@ -187,13 +184,6 @@ class TestRenderTrajectory:
         assert merged.sort.max_sort_length == max(
             s.sort.max_sort_length for s in frames
         )
-
-    def test_bad_executor_rejected(self, small_cloud):
-        engine = RenderEngine(BaselineRenderer(16, BoundaryMethod.AABB))
-        with pytest.raises(ValueError):
-            engine.render_trajectory(
-                small_cloud, _orbit(2), workers=2, executor="carrier-pigeon"
-            )
 
     def test_empty_camera_list(self, small_cloud):
         engine = RenderEngine(BaselineRenderer(16, BoundaryMethod.AABB))
@@ -225,75 +215,6 @@ class TestRenderPool:
             assert result.image.tobytes() == reference.image.tobytes()
             _assert_same_result(result, reference)
             assert result.projected is None and result.assignment is None
-
-
-class TestTrajectoryPool:
-    """A reusable worker pool pinned to one scene."""
-
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_pool_bit_identical_and_reusable(self, small_cloud, executor):
-        renderer = GSTGRenderer(16, 64, BoundaryMethod.ELLIPSE)
-        cameras = _orbit(4)
-        engine = RenderEngine(renderer)
-        serial = engine.render_trajectory(small_cloud, cameras)
-        with engine.open_pool(small_cloud, 2, executor=executor) as pool:
-            # Several calls through one pool — the flush-reuse shape.
-            first = engine.render_trajectory(small_cloud, cameras[:2], pool=pool)
-            second = engine.render_trajectory(small_cloud, cameras[2:], pool=pool)
-        for a, b in zip(serial.results, first.results + second.results):
-            assert np.array_equal(a.image, b.image)
-            assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-
-    def test_single_worker_pool_is_serial(self, small_cloud):
-        renderer = BaselineRenderer(16, BoundaryMethod.ELLIPSE)
-        engine = RenderEngine(renderer)
-        cameras = _orbit(2)
-        with engine.open_pool(small_cloud, 1) as pool:
-            trajectory = engine.render_trajectory(
-                small_cloud, cameras, pool=pool
-            )
-        serial = engine.render_trajectory(small_cloud, cameras)
-        for a, b in zip(serial.results, trajectory.results):
-            assert np.array_equal(a.image, b.image)
-
-    def test_pool_rejects_other_clouds(self, small_cloud):
-        engine = RenderEngine(BaselineRenderer(16, BoundaryMethod.AABB))
-        other = make_cloud(12, np.random.default_rng(5))
-        with engine.open_pool(small_cloud, 2, executor="thread") as pool:
-            with pytest.raises(ValueError):
-                pool.map(other, _orbit(1))
-
-    def test_equal_content_cloud_is_accepted(self, small_cloud):
-        """Pinning is by content fingerprint, not object identity."""
-        clone = dataclasses.replace(
-            small_cloud,
-            positions=small_cloud.positions.copy(),
-            scales=small_cloud.scales.copy(),
-            rotations=small_cloud.rotations.copy(),
-            opacities=small_cloud.opacities.copy(),
-            sh_coeffs=small_cloud.sh_coeffs.copy(),
-        )
-        engine = RenderEngine(BaselineRenderer(16, BoundaryMethod.AABB))
-        camera = _orbit(1)
-        with engine.open_pool(small_cloud, 2, executor="thread") as pool:
-            results = pool.map(clone, camera)
-        direct = engine.render(small_cloud, camera[0])
-        assert np.array_equal(results[0].image, direct.image)
-
-    def test_closed_pool_rejected(self, small_cloud):
-        engine = RenderEngine(BaselineRenderer(16, BoundaryMethod.AABB))
-        pool = engine.open_pool(small_cloud, 2, executor="thread")
-        pool.close()
-        pool.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            pool.map(small_cloud, _orbit(1))
-
-    def test_validation(self, small_cloud):
-        engine = RenderEngine(BaselineRenderer(16, BoundaryMethod.AABB))
-        with pytest.raises(ValueError):
-            engine.open_pool(small_cloud, 0)
-        with pytest.raises(ValueError):
-            engine.open_pool(small_cloud, 2, executor="carrier-pigeon")
 
 
 class TestProjectionCache:

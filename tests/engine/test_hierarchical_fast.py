@@ -95,16 +95,16 @@ class TestEquivalence:
 class TestTrajectory:
     def test_engine_drives_hierarchical_renderer(self, setup):
         """render_trajectory accepts the hierarchical renderer through the
-        Renderer protocol and stays bit-identical across executors."""
+        Renderer protocol and stays bit-identical on the render pool."""
         camera, cloud = setup
         renderer = HierarchicalGSTGRenderer(16, 64, 128, BoundaryMethod.ELLIPSE)
         cameras = [camera, Camera(width=160, height=128, fx=150.0, fy=150.0)]
         serial = RenderEngine(renderer).render_trajectory(cloud, cameras)
-        threaded = RenderEngine(renderer).render_trajectory(
-            cloud, cameras, workers=2, executor="thread"
+        pooled = RenderEngine(renderer).render_trajectory(
+            cloud, cameras, workers=2
         )
         references = [renderer.render(cloud, cam) for cam in cameras]
-        for reference, a, b in zip(references, serial.results, threaded.results):
+        for reference, a, b in zip(references, serial.results, pooled.results):
             assert np.array_equal(reference.image, a.image)
             assert np.array_equal(reference.image, b.image)
         assert serial.stats.preprocess.num_pairs == sum(

@@ -26,8 +26,7 @@ class TestMultiview:
             assert r.speedup > 0
 
     def test_workers_identical_rows(self):
-        """The worker-pool path (shared-memory projection cache spanning
-        both pipelines' pools) reproduces the serial rows exactly."""
+        """The render-pool path reproduces the serial rows exactly."""
         serial = run_multiview(
             "playroom", num_views=16, resolution_scale=0.05, seed=1
         )

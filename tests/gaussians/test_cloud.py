@@ -1,9 +1,11 @@
 """Unit tests for the GaussianCloud container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.gaussians.cloud import GaussianCloud
+from repro.gaussians.cloud import GaussianCloud, cloud_fingerprint
 from tests.conftest import make_cloud
 
 
@@ -95,3 +97,22 @@ class TestOperations:
         b = make_cloud(4, rng, sh_degree=1)
         with pytest.raises(ValueError):
             GaussianCloud.concatenate([a, b])
+
+
+class TestFingerprint:
+    def test_equal_content_clouds_fingerprint_equal(self):
+        """Fingerprints follow content, not object identity."""
+        cloud = make_cloud(40, np.random.default_rng(9))
+        twin = make_cloud(40, np.random.default_rng(9))
+        assert cloud is not twin
+        assert cloud_fingerprint(cloud) == cloud_fingerprint(twin)
+
+    @pytest.mark.parametrize(
+        "field", ["positions", "scales", "rotations", "opacities", "sh_coeffs"]
+    )
+    def test_changing_any_parameter_array_changes_it(self, field):
+        cloud = make_cloud(40, np.random.default_rng(9))
+        array = getattr(cloud, field).copy()
+        array.flat[0] *= 0.5
+        changed = dataclasses.replace(cloud, **{field: array})
+        assert cloud_fingerprint(changed) != cloud_fingerprint(cloud)

@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera, look_at
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.raster.renderer import RenderResult
 from repro.raster.stats import (
     RasterCounters,

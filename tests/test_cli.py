@@ -70,6 +70,35 @@ class TestCommands:
         assert np.array_equal(read_ppm(a), read_ppm(b))
 
 
+class TestTrajectory:
+    @staticmethod
+    def _frames(out_dir) -> "list[bytes]":
+        return [path.read_bytes() for path in sorted(out_dir.glob("*.ppm"))]
+
+    def _trajectory(self, out_dir, *extra) -> int:
+        return main(
+            [
+                "trajectory", "--views", "3", "--scale", "0.05",
+                "--out-dir", str(out_dir), *extra,
+            ]
+        )
+
+    def test_pooled_frames_equal_serial_frames(self, tmp_path):
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert self._trajectory(serial, "--workers", "1") == 0
+        assert self._trajectory(pooled, "--workers", "2") == 0
+        assert len(self._frames(serial)) == 3
+        assert self._frames(pooled) == self._frames(serial)
+
+    def test_ignored_options_still_accepted(self, tmp_path, capsys):
+        code = self._trajectory(
+            tmp_path, "--workers", "2", "--executor", "thread",
+            "--shared-cache",
+        )
+        assert code == 0
+        assert "rendered 3 views" in capsys.readouterr().out
+
+
 class TestServe:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])

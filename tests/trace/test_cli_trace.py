@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.shm_cache import cloud_fingerprint
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.scenes.synthetic import load_scene
 from repro.serve.protocol import encode_camera
 

@@ -27,8 +27,8 @@ from repro.cluster import (
 )
 from repro.core.pipeline import GSTGRenderer
 from repro.engine import RenderEngine
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.serve import AsyncGatewayClient, RenderGateway, RenderService
 from repro.tiles.boundary import BoundaryMethod
 from repro.trace import STAGES, Tracer, load_spans, stitch

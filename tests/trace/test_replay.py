@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.shm_cache import cloud_fingerprint
 from repro.gaussians.camera import Camera
+from repro.gaussians.cloud import cloud_fingerprint
 from repro.hardware.config import GSCORE_CONFIG, GSTG_CONFIG
 from repro.serve.protocol import encode_camera
 from repro.trace import build_config, load_spans, replay, stitch
