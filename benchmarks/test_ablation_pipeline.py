@@ -1,4 +1,5 @@
-"""Ablations on the accelerator's design choices (DESIGN.md section 4).
+"""Ablations on the accelerator's design choices (the Fig. 10 model in
+``repro.hardware``; ``docs/architecture.md``, *Layer 3 — hardware sim*).
 
 Three ablations the paper's architecture argues for:
 

@@ -37,8 +37,9 @@ byte-for-byte what a single gateway would have sent.  The invariant is
 *checked*, not assumed: FRAMEs carry a ``sha256`` of their blob and
 the router verifies it before relaying — a backend (or the path to
 it) corrupting bytes is severed and failed over exactly like one that
-died, so a corrupt frame is never served (see
-:func:`repro.serve.protocol.verify_frame_checksum`).
+died, so a corrupt frame is never served.  The hash runs on the digest
+thread from the moment the frame arrives (see
+:func:`repro.serve.protocol.start_digest`).
 
 Three more robustness behaviours ride the same relay machinery:
 
@@ -301,6 +302,10 @@ class BackendLink:
                 request_id = frame.header.get("request_id")
                 queue = self._queues.get(request_id)
                 if queue is not None:
+                    if frame.type is MessageType.FRAME:
+                        # Hashed on the digest thread while the relay
+                        # forwards the frames queued before this one.
+                        protocol.start_digest(frame)
                     queue.put_nowait(frame)
                 elif request_id is None and frame.type in (
                     MessageType.SCENE_OK,
@@ -707,7 +712,7 @@ class ShardRouter(WireServer):
             )
         return frame
 
-    def _checked(self, link: BackendLink, frame: Frame) -> Frame:
+    async def _checked(self, link: BackendLink, frame: Frame) -> Frame:
         """Verify a FRAME's blob checksum before it may be relayed.
 
         A mismatch means the bytes in hand are not the bytes the
@@ -716,9 +721,10 @@ class ShardRouter(WireServer):
         would silently break the bit-identical invariant, so the link
         is severed and the failure surfaces as :class:`LinkLostError`:
         the frame is *re-rendered on another replica*, never delivered.
+        The digest is the one the link's read loop started on arrival.
         """
         try:
-            protocol.verify_frame_checksum(frame)
+            await protocol.verify_frame_checksum_async(frame)
         except ProtocolError as exc:
             link.abort()
             raise LinkLostError(
@@ -949,7 +955,7 @@ class ShardRouter(WireServer):
                 while True:
                     frame = await self._backend_frame(link, queue, deadline)
                     if frame.type is MessageType.FRAME:
-                        self._checked(link, frame)
+                        await self._checked(link, frame)
                         if sent == 0:
                             self._observe(
                                 request_class,

@@ -30,7 +30,8 @@ from repro.raster.renderer import BaselineRenderer, RenderResult
 from repro.scenes.synthetic import Scene, load_scene
 from repro.tiles.boundary import BoundaryMethod
 from repro.tiles.grid import TileGrid
-from repro.tiles.identify import TileAssignment, identify_tiles
+from repro.tiles.fast import identify_tiles_fast
+from repro.tiles.identify import TileAssignment
 
 
 def camera_key(camera: Camera) -> "tuple":
@@ -205,12 +206,16 @@ class RenderCache:
     def assignment(
         self, name: str, tile_size: int, method: BoundaryMethod
     ) -> TileAssignment:
-        """Tile identification only (enough for the Section III stats)."""
+        """Tile identification only (enough for the Section III stats).
+
+        Vectorised: the same pairs, order and counters as the
+        per-Gaussian ``identify_tiles``.
+        """
         key = (name, tile_size, BoundaryMethod(method))
         if key not in self._assignments:
             scene = self.scene(name)
             grid = TileGrid(scene.camera.width, scene.camera.height, tile_size)
-            self._assignments[key] = identify_tiles(
+            self._assignments[key] = identify_tiles_fast(
                 self.projection(name), grid, method
             )
         return self._assignments[key]

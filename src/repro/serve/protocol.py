@@ -67,12 +67,15 @@ and ``deadline_ms``.
 digest of the frame's blob, stamped at the rendering gateway.  Relays
 (the shard router) verify it before forwarding: a mismatch means the
 backend or its link corrupted the image, and becomes a failover rather
-than silently served bytes.  Clients verify it again on receipt.  They
-may also carry ``backend`` — the id of the gateway that actually
-rendered the frame, stamped at the backend and relayed verbatim, so a
-pooled client (and a trace) can see exactly which replica served each
-frame even across a mid-stream failover — and ``trace``, echoing the
-request's trace id when one was given.
+than silently served bytes.  Clients verify it again on receipt.  Both
+may hash on one process-wide digest thread (:func:`start_digest`),
+which keeps the sha256 off the event loop; a frame that fails is still
+never forwarded or yielded.  FRAME headers may also carry ``backend`` —
+the id of the gateway that actually rendered the frame, stamped at the
+backend and relayed verbatim, so a pooled client (and a trace) can see
+exactly which replica served each frame even across a mid-stream
+failover — and ``trace``, echoing the request's trace id when one was
+given.
 
 Errors carry HTTP-flavoured codes (:class:`ErrorCode`): ``400`` malformed
 frame or request, ``401`` missing or wrong shared-secret token, ``404``
@@ -102,9 +105,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import os
 import struct
+import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 
@@ -199,11 +205,19 @@ class ProtocolError(Exception):
 
 @dataclass
 class Frame:
-    """One decoded wire frame: type byte, JSON header, binary blob."""
+    """One decoded wire frame: type byte, JSON header, binary blob.
+
+    ``digest`` is the blob's sha256 hex being computed on the digest
+    thread when :func:`start_digest` started it, else ``None``; it is
+    not part of the frame's value.
+    """
 
     type: MessageType
     header: dict
     blob: bytes = b""
+    digest: "Future[str] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def encode_frame(
@@ -655,17 +669,85 @@ def verify_frame_checksum(frame: Frame) -> None:
     — the frame boundary is intact, only the image bytes are damaged,
     so the caller (router relay, client read loop) can treat it as a
     backend failure and re-fetch instead of serving corrupt pixels.
+
+    A digest :func:`start_digest` began is used when it is done, or
+    waited for when it is running — at most the rest of that one hash.
+    One still queued behind other frames' digests is withdrawn and the
+    blob hashed here, as is a frame with no digest started.
     """
     expected = frame.header.get("sha256")
     if expected is None:
         return
-    actual = blob_digest(frame.blob)
+    pending = frame.digest
+    if pending is None or pending.cancel():
+        actual = blob_digest(frame.blob)
+    else:
+        actual = pending.result()
     if actual != expected:
         raise ProtocolError(
             f"FRAME blob checksum mismatch (header {expected[:12]}…, "
             f"blob {actual[:12]}…)",
             code=ErrorCode.INTERNAL,
         )
+
+
+async def verify_frame_checksum_async(frame: Frame) -> None:
+    """:func:`verify_frame_checksum`, awaiting a running digest.
+
+    The event loop serves other connections while the digest finishes,
+    instead of blocking on it, at the price of the loop turn that can
+    pass between the digest finishing and this caller resuming.  The
+    router's relay awaits: the loop reads and relays other streams
+    meanwhile.  The client verifies synchronously: a loop turn before a
+    frame is yielded is a gap in its stream.
+    """
+    pending = frame.digest
+    if pending is not None and not pending.cancel() and not pending.done():
+        await asyncio.wrap_future(pending)
+    verify_frame_checksum(frame)
+
+
+#: The process-wide digest thread behind :func:`start_digest`.
+_DIGEST_EXECUTOR: "ThreadPoolExecutor | None" = None
+_DIGEST_LOCK = threading.Lock()
+
+
+def _digest_executor() -> ThreadPoolExecutor:
+    """The digest thread, created on first use.
+
+    ``hashlib`` releases the GIL while it hashes a frame-sized blob, so
+    a digest runs on a core the event loop is not using.  One thread,
+    shared by every connection in the process: digests run in the order
+    their frames arrived.
+    """
+    global _DIGEST_EXECUTOR
+    with _DIGEST_LOCK:
+        if _DIGEST_EXECUTOR is None:
+            _DIGEST_EXECUTOR = ThreadPoolExecutor(
+                1, thread_name_prefix="frame-digest"
+            )
+        return _DIGEST_EXECUTOR
+
+
+def _forget_digest_executor() -> None:
+    """Fork hook: a child owns neither its parent's thread nor its lock."""
+    global _DIGEST_EXECUTOR, _DIGEST_LOCK
+    _DIGEST_EXECUTOR = None
+    _DIGEST_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_digest_executor)
+
+
+def start_digest(frame: Frame) -> None:
+    """Start hashing a checksummed frame's blob on the digest thread.
+
+    A read loop calls this as the frame arrives, so the hash overlaps
+    what the event loop does until the frame's consumer verifies it.  A
+    frame without a ``sha256`` header starts nothing.
+    """
+    if frame.header.get("sha256") is not None:
+        frame.digest = _digest_executor().submit(blob_digest, frame.blob)
 
 
 class WireResult(RenderResult):

@@ -290,6 +290,110 @@ class TestFailover:
         assert failovers >= 1
         assert streams[1 - owner] >= 1  # the replica served the tail
 
+    @pytest.mark.parametrize("bad_index", [1, 4])
+    def test_corrupt_frame_mid_stream_fails_over_at_that_index(
+        self, scene, renderer, reference, bad_index
+    ):
+        """The owner sends a frame whose blob fails its ``sha256`` at an
+        index past the first: the router relays the frames before it,
+        never the corrupt one, and the replica renders the rest — one
+        gapless, bit-identical stream.  The relay checks the digest the
+        link's read loop started on the digest thread."""
+        cloud, cameras = scene
+        scene_id = cloud_fingerprint(cloud)
+        ids = ("a", "b")
+        bad_id = ClusterMap(
+            [BackendSpec(backend_id, "127.0.0.1", 1) for backend_id in ids]
+        ).owner(scene_id).backend_id
+        good_id = ids[1 - ids.index(bad_id)]
+        relayed_by_bad = []
+
+        async def corrupting_backend(reader, writer):
+            from repro.serve import protocol
+            from repro.serve.protocol import MessageType
+
+            writer.write(protocol.encode_frame(
+                MessageType.HELLO, {"version": 2, "max_pending": 64, "scenes": []}
+            ))
+            await writer.drain()
+            while True:
+                frame = await protocol.read_frame(reader)
+                if frame is None:
+                    break
+                if frame.type is MessageType.SCENE:
+                    pushed = protocol.decode_cloud(frame.header, frame.blob)
+                    writer.write(protocol.encode_frame(
+                        MessageType.SCENE_OK,
+                        {"scene_id": cloud_fingerprint(pushed)},
+                    ))
+                elif frame.type is MessageType.STREAM:
+                    request_id = frame.header["request_id"]
+                    for index in range(len(frame.header["cameras"])):
+                        payload = protocol.encode_result_frame(
+                            request_id, index, reference[index]
+                        )
+                        if index == bad_index:
+                            payload = payload[:-1] + bytes([payload[-1] ^ 1])
+                        writer.write(payload)
+                        relayed_by_bad.append(index)
+                        if index == bad_index:
+                            break
+                await writer.drain()
+            writer.close()
+
+        async def main():
+            fake = await asyncio.start_server(
+                corrupting_backend, host="127.0.0.1", port=0
+            )
+            service = RenderService(renderer, max_batch_size=4, max_wait=0.002)
+            gateway = RenderGateway(service)
+            await gateway.start()
+            ports = {
+                bad_id: fake.sockets[0].getsockname()[1],
+                good_id: gateway.tcp_port,
+            }
+            cluster_map = ClusterMap(
+                [BackendSpec(bid, "127.0.0.1", ports[bid]) for bid in ids],
+                replication=2,
+            )
+            router = ShardRouter(cluster_map)
+            await router.start()
+            try:
+                client = await AsyncGatewayClient.connect(
+                    "127.0.0.1", router.tcp_port
+                )
+                try:
+                    results = [
+                        (index, result)
+                        async for index, result in client.stream_trajectory(
+                            cloud, cameras
+                        )
+                    ]
+                finally:
+                    await client.close()
+                return (
+                    results,
+                    router.stats.failovers,
+                    router.stats.frames_relayed,
+                    gateway.stats.frames_sent,
+                )
+            finally:
+                await router.close()
+                fake.close()
+                await fake.wait_closed()
+                await gateway.close()
+                await service.close()
+
+        results, failovers, relayed, replica_frames = asyncio.run(main())
+        assert [index for index, _ in results] == list(range(len(cameras)))
+        for index, result in results:
+            assert np.array_equal(result.image, reference[index].image)
+            assert result.stats == reference[index].stats
+        assert relayed_by_bad == list(range(bad_index + 1))
+        assert failovers == 1
+        assert relayed == len(cameras)
+        assert replica_frames == len(cameras) - bad_index
+
     def test_render_fails_over_when_owner_down(
         self, scene, renderer, reference
     ):

@@ -19,6 +19,8 @@ from repro.experiments import (
 )
 from repro.experiments.hardware_eval import geomean
 from repro.tiles.boundary import BoundaryMethod
+from repro.tiles.grid import TileGrid
+from repro.tiles.identify import identify_tiles
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,20 @@ class TestRenderCache:
         a = cache.assignment("playroom", 16, BoundaryMethod.AABB)
         b = cache.assignment("playroom", 16, "aabb")
         assert a is b
+
+    @pytest.mark.parametrize("method", list(BoundaryMethod))
+    def test_assignment_equals_reference_identify(self, cache, method):
+        """The vectorised identification the cache uses gives the
+        per-Gaussian reference's pairs, in its order, with its counters."""
+        scene = cache.scene("playroom")
+        grid = TileGrid(scene.camera.width, scene.camera.height, 16)
+        reference = identify_tiles(cache.projection("playroom"), grid, method)
+        got = cache.assignment("playroom", 16, method)
+        np.testing.assert_array_equal(got.gaussian_ids, reference.gaussian_ids)
+        np.testing.assert_array_equal(got.tile_ids, reference.tile_ids)
+        assert got.num_gaussians == reference.num_gaussians
+        assert got.num_candidate_tiles == reference.num_candidate_tiles
+        assert got.num_boundary_tests == reference.num_boundary_tests
 
     def test_baseline_render_memoised(self, cache):
         a = cache.baseline_render("playroom", 16, BoundaryMethod.AABB)
