@@ -41,6 +41,15 @@ died, so a corrupt frame is never served.  The hash runs on the digest
 thread from the moment the frame arrives (see
 :func:`repro.serve.protocol.start_digest`).
 
+Requests that share a backend link are relayed **oldest first**: a
+younger request's frame waits while an older request on the link has
+more than :data:`RELAY_SLACK` frames queued (see
+:meth:`BackendLink.turn`).  Without it the relay splits the loop
+between every stream whose frames are in hand and all of them slow
+down together; with it the older stream finishes at full rate and the
+younger one starts right behind it.  An older request whose client
+write has blocked for :data:`RELAY_STALL_S` holds nothing back.
+
 Three more robustness behaviours ride the same relay machinery:
 
 * **End-to-end deadlines** — a ``deadline_ms`` on RENDER/STREAM is
@@ -100,10 +109,11 @@ class LinkLostError(ConnectionError):
 #: Receive buffer asked of the kernel for a backend link, in bytes.  One
 #: link carries every client's streams to that backend, and a cached
 #: stream reaches it as a burst (24 frames of 400 KB within a few ms).
-#: Whatever of stream A does not fit between the two processes when
-#: stream B's request lands is interleaved with B frame by frame, which
-#: doubles those frames' gaps for both clients; and how much fits is
-#: otherwise wherever receive autotuning happens to stop (3 to 33 MB
+#: Whatever of stream A did not fit between the two processes when
+#: stream B's request landed was interleaved with B frame by frame
+#: (before backends wrote a connection's ready frames oldest first),
+#: which doubled those frames' gaps for both clients; and how much fits
+#: is otherwise wherever receive autotuning happens to stop (3 to 33 MB
 #: seen from one run to the next).  A fixed buffer that holds a whole
 #: stream makes it the same every run.
 LINK_RCVBUF = 4 << 20
@@ -175,6 +185,16 @@ class RouterStats:
     auth_failures: int = 0
 
 
+#: Messages (frames, and its END) an older request on a backend link may
+#: have queued before the younger requests on that link wait for it (see
+#: :meth:`BackendLink.turn`).
+RELAY_SLACK = 2
+
+#: Seconds a relay's write to its client may block before that request
+#: stops holding back the younger ones on its link.
+RELAY_STALL_S = 0.25
+
+
 class BackendLink:
     """The router's multiplexed protocol connection to one backend.
 
@@ -212,6 +232,10 @@ class BackendLink:
         self._control_lock = asyncio.Lock()
         self._control: "asyncio.Queue" = asyncio.Queue()
         self._queues: "dict[int, asyncio.Queue]" = {}
+        # Requests whose client write has blocked RELAY_STALL_S or more.
+        self._stalled: "set[int]" = set()
+        self._moved = asyncio.Event()
+        self._turn_waiters = 0
         self._ids = itertools.count(1)
         self._closed = False
 
@@ -355,8 +379,62 @@ class BackendLink:
         return request_id, queue
 
     def close_channel(self, request_id: int) -> None:
-        """Drop a request's queue (late frames are discarded)."""
-        self._queues.pop(request_id, None)
+        """Drop a request's queue (late frames are discarded).
+
+        Digests started for frames still queued are withdrawn: nobody
+        will relay those frames, and the digest thread is shared.
+        """
+        queue = self._queues.pop(request_id, None)
+        while queue is not None and not queue.empty():
+            frame = queue.get_nowait()
+            if frame is not None and frame.digest is not None:
+                frame.digest.cancel()
+        self._stalled.discard(request_id)
+        self.moved()
+
+    def holds_back(self, request_id: int) -> bool:
+        """True while an older request on this link relays first.
+
+        Channel ids grow in the order requests were opened.  An older
+        request holds this one back while it has more than
+        :data:`RELAY_SLACK` messages queued (frames, and its END),
+        unless its client write has blocked for :data:`RELAY_STALL_S`:
+        a client that stops reading must not stall the other requests
+        on the link.
+        """
+        return any(
+            other < request_id
+            and other not in self._stalled
+            and queue.qsize() > RELAY_SLACK
+            for other, queue in self._queues.items()
+        )
+
+    async def turn(self, request_id: int) -> None:
+        """Wait until no older request on this link holds this one back.
+
+        Work-conserving: an older request with nothing queued (its
+        backend is still rendering) holds nothing back.
+        """
+        while self.holds_back(request_id):
+            self._turn_waiters += 1
+            try:
+                await self._moved.wait()
+            finally:
+                self._turn_waiters -= 1
+
+    def moved(self) -> None:
+        """Wake the relays in :meth:`turn` to look again."""
+        if self._turn_waiters:
+            self._moved.set()
+            self._moved = asyncio.Event()
+
+    def stalled(self, request_id: int, stalled: bool = True) -> None:
+        """Mark a request whose client write is blocked (or no longer)."""
+        if stalled:
+            self._stalled.add(request_id)
+            self.moved()
+        else:
+            self._stalled.discard(request_id)
 
     def abort(self) -> None:
         """Sever the current connection (every waiter wakes with None).
@@ -712,6 +790,21 @@ class ShardRouter(WireServer):
             )
         return frame
 
+    async def _relay_turn(
+        self, link: BackendLink, backend_id: int, deadline: "float | None"
+    ) -> None:
+        """:meth:`BackendLink.turn`, bounded by the request's deadline."""
+        if deadline is None or not link.holds_back(backend_id):
+            await link.turn(backend_id)
+            return
+        try:
+            async with asyncio.timeout(max(0.0, deadline - time.monotonic())):
+                await link.turn(backend_id)
+        except TimeoutError:
+            raise protocol.deadline_expired(
+                "request deadline exceeded while older requests relayed"
+            ) from None
+
     async def _checked(self, link: BackendLink, frame: Frame) -> Frame:
         """Verify a FRAME's blob checksum before it may be relayed.
 
@@ -954,7 +1047,9 @@ class ShardRouter(WireServer):
                 )
                 while True:
                     frame = await self._backend_frame(link, queue, deadline)
+                    link.moved()
                     if frame.type is MessageType.FRAME:
+                        await self._relay_turn(link, backend_id, deadline)
                         await self._checked(link, frame)
                         if sent == 0:
                             self._observe(
@@ -964,13 +1059,21 @@ class ShardRouter(WireServer):
                         header = dict(frame.header)
                         header["request_id"] = request_id
                         header["index"] = base + int(frame.header["index"])
-                        await self._send(
-                            conn,
-                            protocol.encode_frame(
-                                MessageType.FRAME, header, frame.blob
-                            ),
-                            deadline=deadline,
+                        stall = asyncio.get_running_loop().call_later(
+                            RELAY_STALL_S, link.stalled, backend_id
                         )
+                        try:
+                            await self._send(
+                                conn,
+                                protocol.encode_frame(
+                                    MessageType.FRAME, header, frame.blob
+                                ),
+                                deadline=deadline,
+                                request_id=request_id,
+                            )
+                        finally:
+                            stall.cancel()
+                            link.stalled(backend_id, False)
                         sent += 1
                         self.stats.frames_relayed += 1
                         if not stream:
@@ -983,6 +1086,7 @@ class ShardRouter(WireServer):
                                 {"request_id": request_id, "frames": sent},
                             ),
                             deadline=deadline,
+                            request_id=request_id,
                         )
                         return
                     elif frame.type is MessageType.ERROR and int(

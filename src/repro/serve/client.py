@@ -245,17 +245,6 @@ class AsyncGatewayClient:
                 request_id = frame.header.get("request_id")
                 queue = self._queues.get(request_id)
                 if queue is not None:
-                    index = frame.header.get("index")
-                    if (
-                        frame.type is MessageType.FRAME
-                        and isinstance(index, int)
-                        and index > 0
-                    ):
-                        # Hashed on the digest thread while the consumer
-                        # takes the frames before it.  A first frame is
-                        # hashed inline: on the thread it would queue
-                        # behind other streams' digests.
-                        protocol.start_digest(frame)
                     queue.put_nowait(frame)
                 elif request_id is None and frame.type in (
                     MessageType.SCENE_OK,

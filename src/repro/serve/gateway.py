@@ -421,7 +421,9 @@ class RenderGateway(WireServer):
                     backend=self.node_id, trace=client_trace,
                 )
                 wire_start = self.tracer.now() if self.tracer.enabled else 0.0
-                await self._send(conn, payload, deadline=deadline)
+                await self._send(
+                    conn, payload, deadline=deadline, request_id=request_id
+                )
                 if self.tracer.enabled:
                     self.tracer.record(
                         "wire",
@@ -438,6 +440,7 @@ class RenderGateway(WireServer):
                     protocol.encode_frame(
                         MessageType.END, {"request_id": request_id, "frames": sent}
                     ),
+                    request_id=request_id,
                 )
         except asyncio.CancelledError:
             raise

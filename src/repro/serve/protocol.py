@@ -67,15 +67,14 @@ and ``deadline_ms``.
 digest of the frame's blob, stamped at the rendering gateway.  Relays
 (the shard router) verify it before forwarding: a mismatch means the
 backend or its link corrupted the image, and becomes a failover rather
-than silently served bytes.  Clients verify it again on receipt.  Both
-may hash on one process-wide digest thread (:func:`start_digest`),
-which keeps the sha256 off the event loop; a frame that fails is still
-never forwarded or yielded.  FRAME headers may also carry ``backend`` —
-the id of the gateway that actually rendered the frame, stamped at the
-backend and relayed verbatim, so a pooled client (and a trace) can see
-exactly which replica served each frame even across a mid-stream
-failover — and ``trace``, echoing the request's trace id when one was
-given.
+than silently served bytes.  Clients verify it again on receipt.  The
+router hashes on one process-wide digest thread (:func:`start_digest`),
+which keeps its sha256 off the event loop; a frame that fails is still
+never forwarded.  FRAME headers may also carry ``backend`` — the id of
+the gateway that actually rendered the frame, stamped at the backend
+and relayed verbatim, so a pooled client (and a trace) can see exactly
+which replica served each frame even across a mid-stream failover —
+and ``trace``, echoing the request's trace id when one was given.
 
 Errors carry HTTP-flavoured codes (:class:`ErrorCode`): ``400`` malformed
 frame or request, ``401`` missing or wrong shared-secret token, ``404``
@@ -208,7 +207,7 @@ class Frame:
     """One decoded wire frame: type byte, JSON header, binary blob.
 
     ``digest`` is the blob's sha256 hex being computed on the digest
-    thread when :func:`start_digest` started it, else ``None``; it is
+    thread once :func:`start_digest` started it, else ``None``; it is
     not part of the frame's value.
     """
 
@@ -669,20 +668,14 @@ def verify_frame_checksum(frame: Frame) -> None:
     — the frame boundary is intact, only the image bytes are damaged,
     so the caller (router relay, client read loop) can treat it as a
     backend failure and re-fetch instead of serving corrupt pixels.
-
-    A digest :func:`start_digest` began is used when it is done, or
-    waited for when it is running — at most the rest of that one hash.
-    One still queued behind other frames' digests is withdrawn and the
-    blob hashed here, as is a frame with no digest started.
     """
     expected = frame.header.get("sha256")
     if expected is None:
         return
-    pending = frame.digest
-    if pending is None or pending.cancel():
-        actual = blob_digest(frame.blob)
-    else:
-        actual = pending.result()
+    _require_checksum(expected, blob_digest(frame.blob))
+
+
+def _require_checksum(expected: str, actual: str) -> None:
     if actual != expected:
         raise ProtocolError(
             f"FRAME blob checksum mismatch (header {expected[:12]}…, "
@@ -692,19 +685,20 @@ def verify_frame_checksum(frame: Frame) -> None:
 
 
 async def verify_frame_checksum_async(frame: Frame) -> None:
-    """:func:`verify_frame_checksum`, awaiting a running digest.
+    """:func:`verify_frame_checksum`, collecting a digest already started.
 
-    The event loop serves other connections while the digest finishes,
-    instead of blocking on it, at the price of the loop turn that can
-    pass between the digest finishing and this caller resuming.  The
-    router's relay awaits: the loop reads and relays other streams
-    meanwhile.  The client verifies synchronously: a loop turn before a
-    frame is yielded is a gap in its stream.
+    A finished digest is used as it is.  A running one is awaited: the
+    event loop serves other connections while it finishes.  One still
+    queued behind other frames' digests is withdrawn and the blob
+    hashed inline, as is a frame with no digest started.
     """
     pending = frame.digest
-    if pending is not None and not pending.cancel() and not pending.done():
+    if pending is None or pending.cancel():
+        verify_frame_checksum(frame)
+        return
+    if not pending.done():
         await asyncio.wrap_future(pending)
-    verify_frame_checksum(frame)
+    _require_checksum(frame.header["sha256"], pending.result())
 
 
 #: The process-wide digest thread behind :func:`start_digest`.
@@ -717,8 +711,8 @@ def _digest_executor() -> ThreadPoolExecutor:
 
     ``hashlib`` releases the GIL while it hashes a frame-sized blob, so
     a digest runs on a core the event loop is not using.  One thread,
-    shared by every connection in the process: digests run in the order
-    their frames arrived.
+    shared by every link in the process: digests run in the order they
+    were started.
     """
     global _DIGEST_EXECUTOR
     with _DIGEST_LOCK:
@@ -743,8 +737,8 @@ def start_digest(frame: Frame) -> None:
     """Start hashing a checksummed frame's blob on the digest thread.
 
     A read loop calls this as the frame arrives, so the hash overlaps
-    what the event loop does until the frame's consumer verifies it.  A
-    frame without a ``sha256`` header starts nothing.
+    what the event loop does until :func:`verify_frame_checksum_async`
+    collects it.  A frame without a ``sha256`` header starts nothing.
     """
     if frame.header.get("sha256") is not None:
         frame.digest = _digest_executor().submit(blob_digest, frame.blob)

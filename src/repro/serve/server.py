@@ -36,6 +36,8 @@ to a backend) and its ``/render`` + ``/stream`` handling.
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 import json
 import time
 from urllib.parse import parse_qsl, urlsplit
@@ -158,15 +160,84 @@ async def authenticate_reader(
     return True, None
 
 
+class OldestFirstLock:
+    """A write lock handed to the oldest waiting request first.
+
+    ``acquire(order)`` takes a request's arrival number on its
+    connection (``-1`` for replies that belong to no request).  The
+    lowest waiting number gets the lock next, and a lower number may
+    take a free lock ahead of a woken higher one.  So a stream whose
+    next frame is ready keeps the connection, and younger streams on it
+    follow in arrival order instead of taking turns frame by frame.  It
+    is work-conserving: a stream that is waiting for a render holds
+    nothing, and the streams behind it write meanwhile.
+    """
+
+    def __init__(self) -> None:
+        self._held = False
+        self._waiters: "list[tuple[int, int, asyncio.Future]]" = []
+        self._tickets = itertools.count()
+        self._woken: "int | None" = None  # a woken waiter's order
+
+    def locked(self) -> bool:
+        return self._held
+
+    def _first_in_line(self, order: int) -> bool:
+        waiters = self._waiters
+        while waiters and waiters[0][2].done():
+            heapq.heappop(waiters)
+        return (not waiters or waiters[0][0] >= order) and (
+            self._woken is None or self._woken >= order
+        )
+
+    async def acquire(self, order: int) -> None:
+        while True:
+            if not self._held and self._first_in_line(order):
+                self._held = True
+                return
+            woken = asyncio.get_running_loop().create_future()
+            heapq.heappush(self._waiters, (order, next(self._tickets), woken))
+            if not self._held and self._woken is None:
+                self._wake()  # free, but an older waiter goes first
+            try:
+                await woken
+            except asyncio.CancelledError:
+                if woken.done() and not woken.cancelled():
+                    self._woken = None
+                    if not self._held:
+                        self._wake()  # pass the wake-up on
+                raise
+            self._woken = None
+
+    def release(self) -> None:
+        self._held = False
+        self._wake()
+
+    def _wake(self) -> None:
+        """Wake the oldest waiter; it takes the lock if still first."""
+        while self._waiters:
+            order, _, woken = heapq.heappop(self._waiters)
+            if not woken.done():
+                woken.set_result(None)
+                self._woken = order
+                return
+
+
 class _Connection:
     """Per-connection state: writer serialisation + live request tasks."""
 
-    __slots__ = ("writer", "wlock", "tasks")
+    __slots__ = ("writer", "wlock", "tasks", "arrivals", "_arrival")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.wlock = asyncio.Lock()
+        self.wlock = OldestFirstLock()
         self.tasks: "dict[int, asyncio.Task]" = {}
+        # request_id -> arrival number, the request's place in wlock.
+        self.arrivals: "dict[int, int]" = {}
+        self._arrival = itertools.count()
+
+    def arrived(self, request_id: int) -> None:
+        self.arrivals[request_id] = next(self._arrival)
 
 
 class WireServer:
@@ -644,6 +715,7 @@ class WireServer:
             ticket.release()
             raise
         conn.tasks[request_id] = task
+        conn.arrived(request_id)
         task.add_done_callback(
             lambda _task: self._request_done(conn, request_id, ticket)
         )
@@ -654,6 +726,7 @@ class WireServer:
         """Release one admission slot and drop the task bookkeeping."""
         ticket.release()
         conn.tasks.pop(request_id, None)
+        conn.arrivals.pop(request_id, None)
 
     async def _send(
         self,
@@ -661,8 +734,13 @@ class WireServer:
         payload: bytes,
         *,
         deadline: "float | None" = None,
+        request_id: "int | None" = None,
     ) -> None:
         """Write one frame atomically (streams interleave on one socket).
+
+        Frames of ``request_id`` wait for the connection's write lock in
+        the request's arrival order (:class:`OldestFirstLock`); a frame
+        of no request goes first.
 
         The flush is bounded by ``write_timeout`` (and, tighter, by the
         request's remaining ``deadline`` budget when given): a stalled
@@ -676,11 +754,14 @@ class WireServer:
         if deadline is not None:
             remaining = max(0.001, deadline - time.monotonic())
             timeout = remaining if timeout is None else min(timeout, remaining)
-        async with conn.wlock:
+        await conn.wlock.acquire(conn.arrivals.get(request_id, -1))
+        try:
             if self._closing:
                 raise ConnectionError(f"{self.role} is closing")
             conn.writer.write(payload)
             await drain_within(conn.writer, timeout, "frame write")
+        finally:
+            conn.wlock.release()
 
     async def _send_error(
         self,

@@ -2,8 +2,8 @@
 
 Covers the process-wide digest executor in ``repro.serve.protocol`` —
 created lazily, forgotten in a forked child, never touched by a frame
-with no digest started — both verifies collecting a started digest (or
-withdrawing a queued one and hashing inline), and the async
+with no digest started — the async verify collecting a started digest
+(or withdrawing a queued one and hashing inline), and the async
 client's rejection of a corrupt frame at the first and at a later index
 of a stream: the frames before it are yielded in order, the corrupt one
 never is.  No clock: every wait is on an event or a socket.
@@ -13,6 +13,7 @@ import asyncio
 import io
 import os
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -47,17 +48,8 @@ def _frame(index: int = 1, *, corrupt: bool = False) -> protocol.Frame:
     )
 
 
-def _verify_sync(frame):
-    protocol.verify_frame_checksum(frame)
-
-
 def _verify_async(frame):
     asyncio.run(protocol.verify_frame_checksum_async(frame))
-
-
-VERIFIERS = pytest.mark.parametrize(
-    "verify", [_verify_sync, _verify_async], ids=["sync", "async"]
-)
 
 
 def _drop_executor() -> None:
@@ -122,14 +114,21 @@ class TestDigestThread:
         frame = _frame(0)
         if not checksum:
             del frame.header["sha256"]
-        _verify_sync(frame)
+        protocol.verify_frame_checksum(frame)
         _verify_async(frame)
         assert protocol._DIGEST_EXECUTOR is None
 
 
 class TestVerifyStartedDigest:
-    @VERIFIERS
-    def test_uses_the_finished_digest(self, fresh_digests, monkeypatch, verify):
+    def test_sync_verify_ignores_a_started_digest(self, fresh_digests):
+        """The blocking verify hashes the blob itself, as it always did."""
+        frame = _frame(corrupt=True)
+        frame.digest = Future()
+        frame.digest.set_result(frame.header["sha256"])
+        with pytest.raises(ProtocolError, match="checksum mismatch"):
+            protocol.verify_frame_checksum(frame)
+
+    def test_uses_the_finished_digest(self, fresh_digests, monkeypatch):
         frame = _frame()
         protocol.start_digest(frame)
         frame.digest.result()
@@ -138,19 +137,17 @@ class TestVerifyStartedDigest:
             raise AssertionError("hashed again on the caller's thread")
 
         monkeypatch.setattr(protocol, "blob_digest", no_inline_hash)
-        verify(frame)
+        _verify_async(frame)
 
-    @VERIFIERS
-    def test_started_digest_of_corrupt_frame_raises(self, fresh_digests, verify):
+    def test_started_digest_of_corrupt_frame_raises(self, fresh_digests):
         frame = _frame(corrupt=True)
         protocol.start_digest(frame)
         with pytest.raises(ProtocolError, match="checksum mismatch"):
-            verify(frame)
+            _verify_async(frame)
 
-    @VERIFIERS
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_queued_digest_is_withdrawn_and_hashed_inline(
-        self, fresh_digests, verify, corrupt
+        self, fresh_digests, corrupt
     ):
         """With the digest thread held busy, a queued digest is cancelled
         and the frame verified inline — same verdict either way."""
@@ -161,9 +158,9 @@ class TestVerifyStartedDigest:
             protocol.start_digest(frame)
             if corrupt:
                 with pytest.raises(ProtocolError, match="checksum mismatch"):
-                    verify(frame)
+                    _verify_async(frame)
             else:
-                verify(frame)
+                _verify_async(frame)
             assert frame.digest.cancelled()
         finally:
             release.set()
