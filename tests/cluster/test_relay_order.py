@@ -13,8 +13,10 @@ event or a socket.
 import asyncio
 import io
 import threading
+import time
 
 import numpy as np
+import pytest
 
 from repro.cluster import BackendSpec, ClusterMap, ShardRouter
 from repro.cluster.router import RELAY_SLACK, BackendLink
@@ -23,7 +25,7 @@ from repro.gaussians.cloud import cloud_fingerprint
 from repro.raster.renderer import RenderResult
 from repro.raster.stats import RenderStats
 from repro.serve import AsyncGatewayClient, protocol
-from repro.serve.protocol import Frame, MessageType
+from repro.serve.protocol import ErrorCode, Frame, MessageType, ProtocolError
 from tests.conftest import make_cloud
 
 
@@ -94,6 +96,21 @@ class TestHoldsBack:
 
         steps, left = asyncio.run(main())
         assert (steps, left) == (2, RELAY_SLACK)
+
+
+def test_held_back_past_its_deadline_is_a_504():
+    """A request's deadline bounds its wait behind older requests."""
+    link = _link()
+    older, older_queue = link.open_channel()
+    younger, _ = link.open_channel()
+    _fill(older_queue, RELAY_SLACK + 1)
+    router = ShardRouter(
+        ClusterMap([BackendSpec("b0", "127.0.0.1", 1)], replication=1)
+    )
+    turn = router._relay_turn(link, younger, time.monotonic() - 1.0)
+    with pytest.raises(ProtocolError) as info:
+        asyncio.run(asyncio.wait_for(turn, 30))  # a hang fails, no timing assert
+    assert info.value.code is ErrorCode.DEADLINE_EXCEEDED
 
 
 def test_close_channel_withdraws_queued_digests():
