@@ -340,6 +340,28 @@ def _make_admission(args: argparse.Namespace):
     return controller
 
 
+async def _serve_until_signalled(server, drain_grace: float) -> None:
+    """Serve until SIGTERM or SIGINT, then drain ``server`` for the grace."""
+    import asyncio
+
+    print("serving until interrupted (Ctrl-C to stop)")
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, RuntimeError):
+            break  # non-Unix loop: Ctrl-C still works
+    await stop.wait()
+    if drain_grace > 0:
+        clean = await server.drain(drain_grace)
+        print(
+            "drained cleanly"
+            if clean
+            else "drain grace expired with requests in flight"
+        )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -390,22 +412,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
             try:
                 if args.listen:
-                    print("serving until interrupted (Ctrl-C to stop)")
-                    stop = asyncio.Event()
-                    loop = asyncio.get_running_loop()
-                    for signum in (signal.SIGTERM, signal.SIGINT):
-                        try:
-                            loop.add_signal_handler(signum, stop.set)
-                        except (NotImplementedError, RuntimeError):
-                            break  # non-Unix loop: Ctrl-C still works
-                    await stop.wait()
-                    if args.drain_grace > 0:
-                        clean = await gateway.drain(args.drain_grace)
-                        print(
-                            "drained cleanly"
-                            if clean
-                            else "drain grace expired with requests in flight"
-                        )
+                    await _serve_until_signalled(gateway, args.drain_grace)
                     return None
                 clients = [
                     await AsyncGatewayClient.connect(
@@ -472,8 +479,6 @@ def _cluster_scenes(args: argparse.Namespace) -> "list[str]":
 
 async def _run_cluster(args, fleet, router, names, serve_http) -> int:
     """``repro cluster`` with its router up: serve, or drive and report."""
-    import asyncio
-
     from repro.cluster.supervisor import drive_fleet
     from repro.gaussians.cloud import cloud_fingerprint
     from repro.scenes.trajectory import orbit_cameras
@@ -492,22 +497,7 @@ async def _run_cluster(args, fleet, router, names, serve_http) -> int:
             f"/stream?scene={names[0]}&frames=2'"
         )
     if args.listen:
-        print("serving until interrupted (Ctrl-C to stop)")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                break  # non-Unix loop: Ctrl-C still works
-        await stop.wait()
-        if args.drain_grace > 0:
-            clean = await router.drain(args.drain_grace)
-            print(
-                "drained cleanly"
-                if clean
-                else "drain grace expired with requests in flight"
-            )
+        await _serve_until_signalled(router, args.drain_grace)
         return 0
     scenes = [
         load_scene(name, resolution_scale=args.scale, seed=args.seed)

@@ -45,10 +45,11 @@ and its one process-wide render pool); this package turns it into a
   protocol (streamed trajectories, error frames, class-aware 429
   admission rejects) plus an HTTP/1.1 adapter for one-shot ``curl``
   renders.
-* :class:`AsyncGatewayClient` / :class:`GatewayClient` — asyncio and
-  blocking protocol clients with the same request surface as the
-  in-process service (both drop into :func:`run_clients`), speaking the
-  optional shared-secret AUTH handshake (:mod:`repro.serve.auth`).
+* :class:`AsyncGatewayClient` — the protocol client, with the same
+  request surface as the in-process service (it drops into
+  :func:`run_clients`), speaking the optional shared-secret AUTH
+  handshake (:mod:`repro.serve.auth`); :class:`GatewayClient` is a
+  blocking facade over it for scripts.
 * :class:`GatewayClientPool` — pooled connections with bounded
   retry-on-markdown and resume-from-first-undelivered streams, the
   client shape for talking to a :mod:`repro.cluster` router.

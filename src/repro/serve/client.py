@@ -2,14 +2,15 @@
 
 Two kinds of client live here:
 
-* **Gateway clients** — :class:`AsyncGatewayClient` (asyncio) and
-  :class:`GatewayClient` (blocking sockets) speak the
+* **Gateway clients** — :class:`AsyncGatewayClient` speaks the
   :mod:`repro.serve.protocol` wire format against a
-  :class:`repro.serve.gateway.RenderGateway`.  Both expose the same
-  request surface as the in-process :class:`RenderService`
-  (``render_frame`` / ``stream_trajectory`` / ``stats_dict``), so the
-  load generator below drives an in-process service and a remote
-  gateway through one code path.
+  :class:`repro.serve.gateway.RenderGateway` (or a cluster router).  It
+  exposes the same request surface as the in-process
+  :class:`RenderService` (``render_frame`` / ``stream_trajectory`` /
+  ``stats_dict``), so the load generator below drives an in-process
+  service and a remote gateway through one code path.
+  :class:`GatewayClient` is a blocking facade over it (a private event
+  loop on one thread), and :class:`GatewayClientPool` pools it.
 * **The load generator** — :func:`run_clients` fans ``N`` streaming
   clients out concurrently (optionally with overlapping trajectories,
   the serving sweet spot) and reports wall time, throughput and the
@@ -25,7 +26,7 @@ import asyncio
 import inspect
 import itertools
 import random
-import socket
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -284,13 +285,10 @@ class AsyncGatewayClient:
             int(ErrorCode.SHUTTING_DOWN), f"gateway connection lost{detail}"
         )
 
-    @staticmethod
-    def _raise_if_error(frame: "Frame | None") -> Frame:
+    def _raise_if_error(self, frame: "Frame | None") -> Frame:
         """Translate ERROR frames / lost connections into exceptions."""
         if frame is None:
-            raise GatewayError(
-                int(ErrorCode.SHUTTING_DOWN), "gateway connection lost"
-            )
+            raise self._lost()
         if frame.type is MessageType.ERROR:
             raise _error_from_frame(frame)
         return frame
@@ -549,17 +547,14 @@ class AsyncGatewayClient:
 
 
 class GatewayClient:
-    """Blocking-socket protocol client (no asyncio required).
+    """Blocking facade over :class:`AsyncGatewayClient` for scripts.
 
-    The synchronous sibling of :class:`AsyncGatewayClient` for scripts
-    and shells: one request at a time over one connection.
-
-    Usage::
-
-        with GatewayClient("127.0.0.1", port) as client:
-            result = client.render_frame(cloud, camera)
-            for index, frame in client.stream_trajectory(cloud, cameras):
-                ...
+    One private event loop runs on one daemon thread, with one
+    :class:`AsyncGatewayClient` connected on it; each call blocks until
+    it has finished there.  ``timeout`` bounds the connect, each call
+    and each streamed frame: past it the call is cancelled and raises
+    :class:`TimeoutError`.  ``deadline_ms`` acts as on the async client.
+    Use it as a context manager, or call :meth:`close` when done.
     """
 
     def __init__(
@@ -567,72 +562,36 @@ class GatewayClient:
         host: str,
         port: int,
         *,
-        timeout: float = 60.0,
+        timeout: "float | None" = 60.0,
         auth_token: "str | None" = None,
     ) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rb")
-        self._ids = itertools.count(1)
-        self._scene_ids: "dict[str, str]" = {}
-        self._closed = False
-        auth_token = resolve_auth_token(auth_token)
+        self.timeout = timeout
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="GatewayClient", daemon=True
+        )
+        self._thread.start()
         try:
-            self.hello = protocol.client_hello_blocking(
-                self._file, self._sock.sendall, auth_token
+            self._client = self._call(
+                AsyncGatewayClient.connect(host, port, auth_token=auth_token)
             )
-        except ProtocolError as exc:
-            self._file.close()
-            self._sock.close()
-            raise GatewayError(int(exc.code), str(exc)) from exc
+        except BaseException:
+            self._stop_loop()
+            raise
+        self.hello = self._client.hello
 
-    def _recv_for(self, request_id: "int | None") -> Frame:
-        """Next frame addressed to this request (or to no request).
-
-        Frames for *other* request ids are stale output of an abandoned
-        stream (requests are otherwise strictly sequential here) and are
-        skipped transparently.
-        """
-        while True:
-            frame = protocol.read_frame_from(self._file)
-            if frame is None:
-                raise GatewayError(
-                    int(ErrorCode.SHUTTING_DOWN), "gateway connection lost"
-                )
-            if frame.type is MessageType.BYE:
-                raise GatewayError(
-                    int(ErrorCode.SHUTTING_DOWN),
-                    "server closed the connection (drain BYE)",
-                )
-            rid = frame.header.get("request_id")
-            if rid != request_id:
-                continue  # stale frame for an abandoned request
-            if frame.type is MessageType.ERROR:
-                raise _error_from_frame(frame)
-            return frame
-
-    def _send(self, payload: bytes) -> None:
-        """Write one frame to the socket."""
-        if self._closed:
+    def _call(self, awaitable):
+        """Run ``awaitable`` on the loop, bounded by ``timeout`` there, so
+        a call that timed out has finished cancelling when it raises."""
+        coro = asyncio.wait_for(awaitable, self.timeout)
+        if self._loop.is_closed():
+            coro.close()
             raise GatewayError(int(ErrorCode.SHUTTING_DOWN), "client is closed")
-        self._sock.sendall(payload)
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def ensure_scene(self, cloud: GaussianCloud) -> str:
         """Register ``cloud`` with the gateway once; return its scene id."""
-        fingerprint = cloud_fingerprint(cloud)
-        scene_id = self._scene_ids.get(fingerprint)
-        if scene_id is not None:
-            return scene_id
-        header, blob = protocol.encode_cloud(cloud)
-        self._send(protocol.encode_frame(MessageType.SCENE, header, blob))
-        frame = self._recv_for(None)
-        if frame.type is not MessageType.SCENE_OK:
-            raise GatewayError(
-                int(ErrorCode.BAD_REQUEST),
-                f"expected SCENE_OK, got {frame.type.name}",
-            )
-        scene_id = frame.header["scene_id"]
-        self._scene_ids[fingerprint] = scene_id
-        return scene_id
+        return self._call(self._client.ensure_scene(cloud))
 
     def render_frame(
         self,
@@ -644,35 +603,17 @@ class GatewayClient:
         trace: "str | None" = None,
         with_meta: bool = False,
     ):
-        """One-shot remote render, bit-identical to a direct render.
-
-        ``deadline_ms`` ships the budget on the wire (server-enforced:
-        a 504 ERROR past it); the socket's own ``timeout`` bounds the
-        local wait.  ``trace``/``with_meta`` as on
-        :meth:`AsyncGatewayClient.render_frame`.
-        """
-        scene_id = self.ensure_scene(cloud)
-        request_id = next(self._ids)
-        self._send(
-            protocol.encode_frame(
-                MessageType.RENDER,
-                _request_header(
-                    {
-                        "request_id": request_id,
-                        "scene_id": scene_id,
-                        "camera": protocol.encode_camera(camera),
-                    },
-                    request_class,
-                    deadline_ms,
-                    trace,
-                ),
+        """One-shot render, as :meth:`AsyncGatewayClient.render_frame`."""
+        return self._call(
+            self._client.render_frame(
+                cloud,
+                camera,
+                request_class=request_class,
+                deadline_ms=deadline_ms,
+                trace=trace,
+                with_meta=with_meta,
             )
         )
-        frame = self._recv_for(request_id)
-        _, _, result = _checked_result_frame(frame)
-        if with_meta:
-            return result, _frame_meta(frame)
-        return result
 
     def stream_trajectory(
         self,
@@ -684,80 +625,40 @@ class GatewayClient:
         trace: "str | None" = None,
         with_meta: bool = False,
     ):
-        """Generator of ``(index, RenderResult)`` streamed in order.
-
-        Abandoning the generator sends a best-effort CANCEL; frames the
-        server already put on the wire are skipped transparently on the
-        next request.  ``trace``/``with_meta`` as on
-        :meth:`AsyncGatewayClient.stream_trajectory`.
-        """
-        cameras = list(cameras)
-        scene_id = self.ensure_scene(cloud)
-        request_id = next(self._ids)
-        self._send(
-            protocol.encode_frame(
-                MessageType.STREAM,
-                _request_header(
-                    {
-                        "request_id": request_id,
-                        "scene_id": scene_id,
-                        "cameras": [
-                            protocol.encode_camera(camera) for camera in cameras
-                        ],
-                    },
-                    request_class,
-                    deadline_ms,
-                    trace,
-                ),
-            )
+        """Generator of ``(index, RenderResult)`` streamed in order; closing
+        it early sends a best-effort CANCEL, as the async client does."""
+        frames = self._client.stream_trajectory(
+            cloud,
+            cameras,
+            request_class=request_class,
+            deadline_ms=deadline_ms,
+            trace=trace,
+            with_meta=with_meta,
         )
-        complete = False
         try:
-            while True:
-                frame = self._recv_for(request_id)
-                if frame.type is MessageType.END:
-                    complete = True
-                    return
-                _, index, result = _checked_result_frame(frame)
-                if with_meta:
-                    yield index, result, _frame_meta(frame)
-                else:
-                    yield index, result
+            while (item := self._call(anext(frames, None))) is not None:
+                yield item
         finally:
-            if not complete and not self._closed:
-                try:
-                    self._send(
-                        protocol.encode_frame(
-                            MessageType.CANCEL, {"request_id": request_id}
-                        )
-                    )
-                except (GatewayError, ConnectionError, OSError):
-                    pass
+            if not self._loop.is_closed():
+                self._call(frames.aclose())
 
     def stats_dict(self) -> "dict":
         """The server's counters: the service dict + a ``gateway`` entry."""
-        self._send(protocol.encode_frame(MessageType.STATS))
-        frame = self._recv_for(None)
-        if frame.type is not MessageType.STATS_OK:
-            raise GatewayError(
-                int(ErrorCode.BAD_REQUEST),
-                f"expected STATS_OK, got {frame.type.name}",
-            )
-        stats = dict(frame.header.get("service", {}))
-        stats["gateway"] = frame.header.get("gateway", {})
-        return stats
+        return self._call(self._client.stats_dict())
 
     def close(self) -> None:
-        """Send BYE (best effort) and close the socket."""
-        if self._closed:
+        """Send BYE, close the connection, stop the loop, join its thread."""
+        if self._loop.is_closed():
             return
         try:
-            self._send(protocol.encode_frame(MessageType.BYE))
-        except (GatewayError, ConnectionError, OSError):
-            pass
-        self._closed = True
-        self._file.close()
-        self._sock.close()
+            self._call(self._client.close())
+        finally:
+            self._stop_loop()
+
+    def _stop_loop(self) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._loop.close()
 
     def __enter__(self) -> "GatewayClient":
         return self

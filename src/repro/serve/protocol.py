@@ -312,8 +312,8 @@ def read_frame_from(stream, *, max_frame: int = MAX_FRAME_BYTES) -> "Frame | Non
     """Blocking :func:`read_frame` over a file-like byte stream.
 
     ``stream`` is anything with a ``read(n)`` returning up to ``n`` bytes
-    (e.g. ``socket.makefile("rb")``); used by the synchronous
-    :class:`repro.serve.client.GatewayClient`.
+    (e.g. ``io.BytesIO`` over bytes captured off a socket); used to
+    decode recorded frames outside an event loop.
     """
     prefix = _read_exact(stream, _PREFIX.size, allow_eof=True)
     if prefix is None:
@@ -448,18 +448,6 @@ async def drain_within(
 
 
 # -- the client side of the connection handshake -------------------------
-def _check_hello(frame: "Frame | None", auth_token: "str | None") -> dict:
-    """Validate a HELLO and decide whether a token must be presented."""
-    if frame is None or frame.type is not MessageType.HELLO:
-        raise ProtocolError("peer did not send HELLO")
-    if auth_token is None and frame.header.get("auth_required"):
-        raise ProtocolError(
-            "peer requires a shared-secret token and none was given",
-            code=ErrorCode.UNAUTHORIZED,
-        )
-    return frame.header
-
-
 async def client_hello(
     reader, writer: "asyncio.StreamWriter", auth_token: "str | None"
 ) -> dict:
@@ -469,29 +457,23 @@ async def client_hello(
     peer's first frame is not a HELLO, and with
     ``code=ErrorCode.UNAUTHORIZED`` when the peer requires auth and no
     token was given — failing fast client-side instead of dying on the
-    first real request.  Shared by every asyncio protocol client
-    (:class:`~repro.serve.client.AsyncGatewayClient`, the cluster
-    router's backend links, the health prober) so the handshake cannot
-    drift between them; :func:`client_hello_blocking` is the
-    synchronous twin.
+    first real request.  Shared by every protocol client
+    (:class:`~repro.serve.client.AsyncGatewayClient` and the blocking
+    facade over it, the cluster router's backend links, the health
+    prober) so the handshake cannot drift between them.
     """
-    header = _check_hello(await read_frame(reader), auth_token)
+    frame = await read_frame(reader)
+    if frame is None or frame.type is not MessageType.HELLO:
+        raise ProtocolError("peer did not send HELLO")
+    if auth_token is None and frame.header.get("auth_required"):
+        raise ProtocolError(
+            "peer requires a shared-secret token and none was given",
+            code=ErrorCode.UNAUTHORIZED,
+        )
     if auth_token is not None:
         writer.write(encode_frame(MessageType.AUTH, {"token": auth_token}))
         await writer.drain()
-    return header
-
-
-def client_hello_blocking(stream, send, auth_token: "str | None") -> dict:
-    """Blocking :func:`client_hello` over ``(read stream, send callable)``.
-
-    ``stream`` is a file-like byte reader (see :func:`read_frame_from`);
-    ``send`` takes wire bytes (e.g. ``socket.sendall``).
-    """
-    header = _check_hello(read_frame_from(stream), auth_token)
-    if auth_token is not None:
-        send(encode_frame(MessageType.AUTH, {"token": auth_token}))
-    return header
+    return frame.header
 
 
 # -- payload codecs ------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.gaussians.camera import Camera, look_at
+from repro.gaussians.rotation import quaternion_to_rotation_matrix
 
 
 class TestCameraValidation:
@@ -22,6 +25,41 @@ class TestCameraValidation:
     def test_rejects_non_orthonormal_rotation(self):
         with pytest.raises(ValueError):
             Camera(width=10, height=10, fx=1.0, fy=1.0, rotation=np.ones((3, 3)))
+
+    @given(
+        quaternion=st.lists(
+            st.floats(-1.0, 1.0), min_size=4, max_size=4
+        ).filter(lambda q: np.linalg.norm(q) > 0.1),
+        stretch=st.floats(-1.3e-5, 1.3e-5),
+        entry=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        nudge=st.floats(-4e-6, 4e-6),
+        special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    @example([1.0, 0.0, 0.0, 0.0], 1.09e-5, (0, 0), 0.0, None)  # accepted
+    @example([1.0, 0.0, 0.0, 0.0], 1.11e-5, (0, 0), 0.0, None)  # rejected
+    def test_orthonormality_verdict_is_allclose(
+        self, quaternion, stretch, entry, nudge, special
+    ):
+        """Raises exactly when ``np.allclose(R R^T, I, atol=1e-6)`` fails.
+
+        ``stretch`` scales a rotation so the diagonal of ``R R^T`` moves by
+        about ``stretch`` around its 1.1e-5 bound; ``nudge`` moves one entry
+        so the off-diagonal moves around its 1e-6 bound; ``special`` puts a
+        NaN or an infinity in that entry.
+        """
+        rot = quaternion_to_rotation_matrix(np.array([quaternion]))[0]
+        rot = rot * np.sqrt(1.0 + stretch)
+        rot[entry] += nudge
+        if special is not None:
+            rot[entry] = special
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect_reject = not np.allclose(rot @ rot.T, np.eye(3), atol=1e-6)
+            try:
+                Camera(width=4, height=4, fx=1.0, fy=1.0, rotation=rot)
+                rejected = False
+            except ValueError:
+                rejected = True
+        assert rejected == expect_reject
 
 
 class TestCameraGeometry:

@@ -166,13 +166,15 @@ class TestStreaming:
                 with GatewayClient("127.0.0.1", gateway.tcp_port) as client:
                     single = client.render_frame(cloud, cameras[0])
                     frames = list(client.stream_trajectory(cloud, cameras))
-                    return single, frames
+                    return single, frames, client.stats_dict()
 
             return await asyncio.get_running_loop().run_in_executor(
                 None, sync_work
             )
 
-        single, frames = run_with_gateway(renderer, body)
+        single, frames, stats = run_with_gateway(renderer, body)
+        assert stats["gateway"]["streams"] == 1
+        assert stats["gateway"]["frames_sent"] == len(cameras) + 1
         assert np.array_equal(single.image, reference[0].image)
         assert single.stats == reference[0].stats
         assert len(frames) == len(cameras)
