@@ -88,7 +88,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import socket
-import time
 from dataclasses import asdict, dataclass
 
 from repro.gaussians.cloud import cloud_fingerprint
@@ -499,9 +498,9 @@ class BackendLink:
 
     async def push_scene(self, scene_id: str, payload: bytes) -> None:
         """Idempotently register a cached SCENE payload on this backend."""
+        await self.connect()
         if scene_id in self.pushed_scenes:
             return
-        await self.connect()
         frame = await self.control(payload, MessageType.SCENE_OK)
         confirmed = frame.header.get("scene_id")
         if confirmed != scene_id:
@@ -699,17 +698,23 @@ class ShardRouter(WireServer):
         return link
 
     async def _acquire_link(
-        self, scene_id: str, excluded: "set[str]"
+        self, scene_id: str, excluded: "set[str]", deadline: "float | None"
     ) -> "BackendLink | None":
-        """The best live replica's link, or None when none is up.
+        """The best live replica's link, ready to serve ``scene_id``; None
+        when no replica is up.
 
         Walks the scene's replica set in rendezvous order, skipping
         backends this request already saw fail and backends the monitor
         has marked down (a markdown skip is a routing decision, not a
-        failover).  A connect *failure* discovered here is a failover:
-        it is reported into the monitor, counted, and the walk
-        continues.
+        failover).  A wire-pushed scene is (re)pushed from the router's
+        payload cache; any other id is a name the backends were
+        provisioned with (a backend that disagrees answers 404, which
+        is relayed).  A connect or push *failure* is a failover: it is
+        reported into the monitor, counted, and the walk continues.  A
+        spent budget ends the wait in a 504, and the connect or push
+        runs on (:func:`repro.serve.protocol.within`, shielded).
         """
+        payload = self._scene_frames.get(scene_id)
         for spec in self.topology.replicas(scene_id):
             if spec.backend_id in excluded:
                 continue
@@ -717,28 +722,18 @@ class ShardRouter(WireServer):
                 continue
             link = self._link(spec)
             try:
-                await link.connect()
+                await protocol.within(
+                    deadline,
+                    link.connect() if payload is None
+                    else link.push_scene(scene_id, payload),
+                    f"reaching backend {spec.backend_id}",
+                    shield=True,
+                )
             except LinkLostError as exc:
                 self._mark_failover(link, excluded, exc)
                 continue
             return link
         return None
-
-    async def _ensure_scene_on(self, link: BackendLink, scene_id) -> None:
-        """Make sure a backend can resolve ``scene_id`` before routing.
-
-        Wire-pushed scenes are re-registered from the router's payload
-        cache; anything else is assumed to be a name the backends were
-        provisioned with (a backend that disagrees answers 404, which
-        is relayed).
-        """
-        payload = (
-            self._scene_frames.get(scene_id)
-            if isinstance(scene_id, str)
-            else None
-        )
-        if payload is not None:
-            await link.push_scene(scene_id, payload)
 
     def _mark_failover(self, link: BackendLink, excluded: "set[str]", error) -> None:
         """Bookkeeping shared by every failover site."""
@@ -763,22 +758,13 @@ class ShardRouter(WireServer):
         more than the budget allowed), so the link survives and the
         caller answers 504 instead of failing over.
         """
-        timeout = self.request_timeout
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise protocol.deadline_expired(
-                    "request deadline exceeded while relaying"
-                )
-            timeout = min(timeout, remaining)
         try:
-            frame = await asyncio.wait_for(queue.get(), timeout)
+            frame = await protocol.within(
+                deadline,
+                asyncio.wait_for(queue.get(), self.request_timeout),
+                "waiting on the backend",
+            )
         except asyncio.TimeoutError:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise protocol.deadline_expired(
-                    "request deadline exceeded while waiting on "
-                    f"backend {link.spec.backend_id}"
-                ) from None
             link.abort()
             raise LinkLostError(
                 f"backend {link.spec.backend_id} stalled "
@@ -793,17 +779,11 @@ class ShardRouter(WireServer):
     async def _relay_turn(
         self, link: BackendLink, backend_id: int, deadline: "float | None"
     ) -> None:
-        """:meth:`BackendLink.turn`, bounded by the request's deadline."""
-        if deadline is None or not link.holds_back(backend_id):
-            await link.turn(backend_id)
-            return
-        try:
-            async with asyncio.timeout(max(0.0, deadline - time.monotonic())):
-                await link.turn(backend_id)
-        except TimeoutError:
-            raise protocol.deadline_expired(
-                "request deadline exceeded while older requests relayed"
-            ) from None
+        """:meth:`BackendLink.turn`, bounded by the request's budget."""
+        if link.holds_back(backend_id):
+            await protocol.within(
+                deadline, link.turn(backend_id), "while older requests relayed"
+            )
 
     async def _checked(self, link: BackendLink, frame: Frame) -> Frame:
         """Verify a FRAME's blob checksum before it may be relayed.
@@ -1008,25 +988,18 @@ class ShardRouter(WireServer):
         sent = 0
         started = asyncio.get_running_loop().time()
         while True:
-            if deadline is not None and time.monotonic() >= deadline:
+            try:
+                link = await self._acquire_link(scene_id, excluded, deadline)
+            except ProtocolError as exc:  # a spent budget, a refused push
                 self.stats.errors += 1
-                await self._send_error(
-                    conn,
-                    request_id,
-                    ErrorCode.DEADLINE_EXCEEDED,
-                    f"stream deadline exceeded after {sent} frames"
-                    if stream
-                    else "request deadline exceeded during failover",
-                )
+                await self._send_error(conn, request_id, exc.code, str(exc))
                 return
-            link = await self._acquire_link(scene_id, excluded)
             if link is None:
                 await self._no_replica(conn, request_id)
                 return
             backend_id, queue = link.open_channel()
             tried.append(link.spec.backend_id)
             try:
-                await self._ensure_scene_on(link, scene_id)
                 base = sent
                 header = {"request_id": backend_id, "scene_id": scene_id}
                 if stream:
@@ -1107,11 +1080,9 @@ class ShardRouter(WireServer):
                 self._mark_failover(link, excluded, exc)
                 continue
             except ProtocolError as exc:
-                # Scene-push refusal (e.g. registry full there) or
-                # deadline expiry (504); either way the backend may
-                # still be working on it — tell it to stop.
-                if exc.code is ErrorCode.DEADLINE_EXCEEDED:
-                    await self._cancel_backend(link, backend_id)
+                # A spent budget (504): the backend may still be
+                # working on it — tell it to stop.
+                await self._cancel_backend(link, backend_id)
                 self.stats.errors += 1
                 await self._send_error(conn, request_id, exc.code, str(exc))
                 return

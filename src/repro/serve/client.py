@@ -94,29 +94,6 @@ def _checked_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":
     return protocol.decode_result_frame(frame)
 
 
-def _request_header(
-    header: dict,
-    request_class: "str | None",
-    deadline_ms: "float | None" = None,
-    trace: "str | None" = None,
-) -> dict:
-    """Attach the optional admission-class / deadline / trace fields.
-
-    ``None`` leaves each field off entirely — the v2-compatible shape
-    pre-class, pre-deadline clients send (servers read the absences as
-    ``bulk`` and "no deadline").  ``trace`` is the *client-minted*
-    trace id that stitches this request's spans across every traced
-    node it touches; servers echo it on the answering FRAMEs.
-    """
-    if request_class is not None:
-        header["class"] = request_class
-    if deadline_ms is not None:
-        header["deadline_ms"] = max(1, int(deadline_ms))
-    if trace is not None:
-        header["trace"] = trace
-    return header
-
-
 def _frame_meta(frame: Frame) -> dict:
     """Serving metadata riding a FRAME header (absent fields omitted).
 
@@ -133,21 +110,9 @@ def _frame_meta(frame: Frame) -> dict:
     return meta
 
 
-def _remaining_ms(deadline: "float | None") -> "float | None":
-    """Remaining budget (ms) before an absolute monotonic deadline.
-
-    ``None`` stays ``None`` (no deadline); an already-expired deadline
-    raises 504 so callers never launch an attempt they cannot finish.
-    """
-    if deadline is None:
-        return None
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise GatewayError(
-            int(ErrorCode.DEADLINE_EXCEEDED),
-            "deadline exceeded before the request could be (re)issued",
-        )
-    return remaining * 1e3
+def _gateway_error(exc: ProtocolError) -> GatewayError:
+    """A failed handshake or a spent budget, as the caller sees it."""
+    return GatewayError(int(exc.code), str(exc))
 
 
 #: ``StreamReader`` limit of an :class:`AsyncGatewayClient` connection.
@@ -225,7 +190,10 @@ class AsyncGatewayClient:
             )
         except ProtocolError as exc:
             client._writer.close()
-            raise GatewayError(int(exc.code), str(exc)) from exc
+            raise _gateway_error(exc) from exc
+        except BaseException:  # a connect abandoned by a timeout
+            client._writer.close()
+            raise
         client._read_task = asyncio.ensure_future(client._read_loop())
         return client
 
@@ -322,6 +290,50 @@ class AsyncGatewayClient:
         self._scene_ids[fingerprint] = scene_id
         return scene_id
 
+    async def _issue(
+        self,
+        message_type: MessageType,
+        cloud: GaussianCloud,
+        fields: dict,
+        request_class: "str | None",
+        deadline_ms: "float | None",
+        trace: "str | None",
+    ) -> "tuple[int, asyncio.Queue, float | None]":
+        """Push the scene (once), then send one RENDER or STREAM.
+
+        Returns the request id, its frame queue and its budget, minted
+        here.  The budget bounds the scene push: a push it cuts short (a
+        504) runs on under the control lock, so its SCENE_OK never
+        answers a later round trip.  ``class`` / ``deadline_ms`` /
+        ``trace`` are left off the header when ``None`` — the shape
+        pre-class, pre-deadline clients send (servers read the absences
+        as ``bulk`` and "no deadline"); ``trace`` is the client-minted
+        id that stitches the request's spans across every traced node.
+        """
+        deadline = protocol.deadline_from_ms(deadline_ms)
+        try:
+            scene_id = await protocol.within(
+                deadline, self.ensure_scene(cloud), "pushing the scene",
+                shield=True,
+            )
+        except ProtocolError as exc:
+            raise _gateway_error(exc) from None
+        request_id = next(self._ids)
+        header = {"request_id": request_id, "scene_id": scene_id, **fields}
+        if request_class is not None:
+            header["class"] = request_class
+        if deadline_ms is not None:
+            header["deadline_ms"] = protocol.wire_ms(deadline_ms)
+        if trace is not None:
+            header["trace"] = trace
+        queue = self._queues[request_id] = asyncio.Queue()
+        try:
+            await self._send(protocol.encode_frame(message_type, header))
+        except BaseException:
+            del self._queues[request_id]
+            raise
+        return request_id, queue, deadline
+
     async def render_frame(
         self,
         cloud: GaussianCloud,
@@ -338,45 +350,26 @@ class AsyncGatewayClient:
         ``bulk`` | ``prefetch``); ``None`` omits the wire field, which
         the gateway treats as ``bulk``.  ``deadline_ms`` ships the
         remaining wall-clock budget on the wire (the server answers a
-        504 ERROR past it) *and* bounds the local wait — if not even
-        the 504 arrives in time (a stalled link), the call raises a 504
-        :class:`GatewayError` itself after a best-effort CANCEL.
+        504 ERROR past it) *and* bounds the local waits — the scene
+        push and the frame: if not even the 504 arrives in time (a
+        stalled link), the call raises a 504 :class:`GatewayError`
+        itself, after a best-effort CANCEL once the request was sent.
         ``trace`` rides the request so traced servers stitch their
         spans under it; ``with_meta=True`` returns ``(result, meta)``
         where ``meta`` carries the serving ``backend`` id (and the
         echoed ``trace``/``sha256``) from the FRAME header.
         """
-        deadline = (
-            None if deadline_ms is None
-            else time.monotonic() + deadline_ms / 1e3
+        request_id, queue, deadline = await self._issue(
+            MessageType.RENDER, cloud,
+            {"camera": protocol.encode_camera(camera)},
+            request_class, deadline_ms, trace,
         )
-        scene_id = await self.ensure_scene(cloud)
-        request_id = next(self._ids)
-        queue: "asyncio.Queue" = asyncio.Queue()
-        self._queues[request_id] = queue
         try:
-            await self._send(
-                protocol.encode_frame(
-                    MessageType.RENDER,
-                    _request_header(
-                        {
-                            "request_id": request_id,
-                            "scene_id": scene_id,
-                            "camera": protocol.encode_camera(camera),
-                        },
-                        request_class,
-                        deadline_ms,
-                        trace,
-                    ),
-                )
-            )
             frame = self._raise_if_error(
                 await self._await_frame(queue, deadline, request_id)
             )
             _, _, result = _checked_result_frame(frame)
-            if with_meta:
-                return result, _frame_meta(frame)
-            return result
+            return (result, _frame_meta(frame)) if with_meta else result
         finally:
             self._queues.pop(request_id, None)
 
@@ -386,27 +379,26 @@ class AsyncGatewayClient:
         deadline: "float | None",
         request_id: int,
     ) -> "Frame | None":
-        """One queue read, bounded by the request's deadline (if any)."""
-        if deadline is None:
-            return await queue.get()
-        remaining = deadline - time.monotonic()
+        """One queue read, bounded by the request's budget (if any);
+        past it, a best-effort CANCEL and a 504."""
         try:
-            if remaining <= 0:
-                raise asyncio.TimeoutError
-            return await asyncio.wait_for(queue.get(), remaining)
-        except asyncio.TimeoutError:
-            try:
-                await self._send(
-                    protocol.encode_frame(
-                        MessageType.CANCEL, {"request_id": request_id}
-                    )
+            return await protocol.within(
+                deadline, queue.get(), "waiting for the server"
+            )
+        except ProtocolError as exc:
+            await self._cancel(request_id)
+            raise _gateway_error(exc) from None
+
+    async def _cancel(self, request_id: int) -> None:
+        """Best-effort CANCEL: the server drops the request's work."""
+        try:
+            await self._send(
+                protocol.encode_frame(
+                    MessageType.CANCEL, {"request_id": request_id}
                 )
-            except (GatewayError, ConnectionError, OSError):
-                pass
-            raise GatewayError(
-                int(ErrorCode.DEADLINE_EXCEEDED),
-                "deadline exceeded waiting for the server",
-            ) from None
+            )
+        except (GatewayError, ConnectionError, OSError):
+            pass
 
     async def stream_trajectory(
         self,
@@ -436,35 +428,13 @@ class AsyncGatewayClient:
         a best-effort CANCEL so the server drops the remaining frames.
         """
         del prefetch  # server-side knob; kept for API compatibility
-        deadline = (
-            None if deadline_ms is None
-            else time.monotonic() + deadline_ms / 1e3
+        request_id, queue, deadline = await self._issue(
+            MessageType.STREAM, cloud,
+            {"cameras": [protocol.encode_camera(camera) for camera in cameras]},
+            request_class, deadline_ms, trace,
         )
-        cameras = list(cameras)
-        scene_id = await self.ensure_scene(cloud)
-        request_id = next(self._ids)
-        queue: "asyncio.Queue" = asyncio.Queue()
-        self._queues[request_id] = queue
         complete = False
         try:
-            await self._send(
-                protocol.encode_frame(
-                    MessageType.STREAM,
-                    _request_header(
-                        {
-                            "request_id": request_id,
-                            "scene_id": scene_id,
-                            "cameras": [
-                                protocol.encode_camera(camera)
-                                for camera in cameras
-                            ],
-                        },
-                        request_class,
-                        deadline_ms,
-                        trace,
-                    ),
-                )
-            )
             while True:
                 frame = self._raise_if_error(
                     await self._await_frame(queue, deadline, request_id)
@@ -480,14 +450,7 @@ class AsyncGatewayClient:
         finally:
             self._queues.pop(request_id, None)
             if not complete and not self._closed:
-                try:
-                    await self._send(
-                        protocol.encode_frame(
-                            MessageType.CANCEL, {"request_id": request_id}
-                        )
-                    )
-                except (GatewayError, ConnectionError, OSError):
-                    pass
+                await self._cancel(request_id)
 
     async def stats_dict(self) -> "dict":
         """The server's counters: the service dict + a ``gateway`` entry.
@@ -553,7 +516,8 @@ class GatewayClient:
     :class:`AsyncGatewayClient` connected on it; each call blocks until
     it has finished there.  ``timeout`` bounds the connect, each call
     and each streamed frame: past it the call is cancelled and raises
-    :class:`TimeoutError`.  ``deadline_ms`` acts as on the async client.
+    :class:`TimeoutError`.  It is a hang guard, not a request budget:
+    ``deadline_ms`` acts as on the async client, a 504 past it.
     Use it as a context manager, or call :meth:`close` when done.
     """
 
@@ -746,17 +710,29 @@ class GatewayClientPool:
             or (client._read_task is not None and client._read_task.done())
         )
 
-    async def _lease(self) -> AsyncGatewayClient:
+    async def _lease(
+        self, deadline: "float | None" = None
+    ) -> AsyncGatewayClient:
         """The next connection, round-robin; reconnects dead slots.
 
         A connection failure surfaces as a 503 :class:`GatewayError` so
         the per-request retry loops treat "could not connect" exactly
-        like "connection died mid-request".
+        like "connection died mid-request".  A spent budget ends the
+        wait in a 504; the reconnect runs on and fills the slot.
         """
         if self._closed:
             raise GatewayError(int(ErrorCode.SHUTTING_DOWN), "pool is closed")
         index = self._next % self.size
         self._next += 1
+        try:
+            return await protocol.within(
+                deadline, self._connected(index), "connecting", shield=True
+            )
+        except ProtocolError as exc:
+            raise _gateway_error(exc) from None
+
+    async def _connected(self, index: int) -> AsyncGatewayClient:
+        """Slot ``index``'s connection, reconnected when dead."""
         async with self._locks[index]:
             client = self._slots[index]
             if self._dead(client):
@@ -776,6 +752,11 @@ class GatewayClientPool:
                         int(ErrorCode.SHUTTING_DOWN),
                         f"cannot connect to {self.host}:{self.port}: {exc}",
                     ) from exc
+                if self._closed:  # closed while this connect ran on
+                    await client.close()
+                    raise GatewayError(
+                        int(ErrorCode.SHUTTING_DOWN), "pool is closed"
+                    )
                 self._slots[index] = client
         return client
 
@@ -802,13 +783,11 @@ class GatewayClientPool:
         actually dead; closing a healthy multiplexed connection would
         torpedo every other request on it.
 
-        When the request carries a ``deadline`` (absolute monotonic
-        instant), the *total* retry budget is capped by it: a backoff
-        sleep that would land past the deadline is never taken — the
-        pool raises 504 ``DEADLINE_EXCEEDED`` instead of delivering a
-        late success.  The server's ``retry_after_ms`` floor still
-        applies below the cap, so a drain hint and a deadline compose:
-        whichever bites first wins.
+        A request's ``deadline`` caps the *total* retry budget: a
+        backoff sleep that would land past it is never taken — the pool
+        raises 504 ``DEADLINE_EXCEEDED`` instead of delivering a late
+        success.  The server's ``retry_after_ms`` floor still applies
+        below the cap: whichever bites first wins.
         """
         if self._closed:
             # Permanent: never burn the retry budget on a closed pool.
@@ -823,7 +802,8 @@ class GatewayClientPool:
         if client is not None and (transport or self._dead(client)):
             await self._retire(client)
         delay = self._retry_delay(attempt, exc.retry_after_ms)
-        if deadline is not None and time.monotonic() + delay >= deadline:
+        left_ms = protocol.deadline_remaining_ms(deadline)
+        if left_ms is not None and delay * 1e3 >= left_ms:
             raise GatewayError(
                 int(ErrorCode.DEADLINE_EXCEEDED),
                 "deadline exceeded: retry backoff "
@@ -865,23 +845,27 @@ class GatewayClientPool:
         names the backend that actually served the frame — after a
         retry that may differ from the first backend tried.
         """
-        deadline = (
-            None if deadline_ms is None
-            else time.monotonic() + deadline_ms / 1e3
+        deadline = protocol.deadline_from_ms(deadline_ms)
+        return await self._retried(
+            lambda client: client.render_frame(
+                cloud,
+                camera,
+                request_class=request_class,
+                deadline_ms=protocol.deadline_remaining_ms(deadline),
+                trace=trace,
+                with_meta=with_meta,
+            ),
+            deadline,
         )
+
+    async def _retried(self, call, deadline: "float | None" = None):
+        """``await call(client)`` on a leased connection, retried."""
         attempt = 0
         while True:
             client = None
             try:
-                client = await self._lease()
-                return await client.render_frame(
-                    cloud,
-                    camera,
-                    request_class=request_class,
-                    deadline_ms=_remaining_ms(deadline),
-                    trace=trace,
-                    with_meta=with_meta,
-                )
+                client = await self._lease(deadline)
+                return await call(client)
             except (GatewayError, ConnectionError, OSError) as exc:
                 await self._handle_failure(exc, client, attempt, deadline)
                 attempt += 1
@@ -906,10 +890,7 @@ class GatewayClientPool:
         consecutive frames, which is how callers observe who served
         what.
         """
-        deadline = (
-            None if deadline_ms is None
-            else time.monotonic() + deadline_ms / 1e3
-        )
+        deadline = protocol.deadline_from_ms(deadline_ms)
         cameras = list(cameras)
         delivered = 0
         attempt = 0
@@ -917,13 +898,13 @@ class GatewayClientPool:
             client = None
             base = delivered
             try:
-                client = await self._lease()
+                client = await self._lease(deadline)
                 async for item in client.stream_trajectory(
                     cloud,
                     cameras[base:],
                     prefetch=prefetch,
                     request_class=request_class,
-                    deadline_ms=_remaining_ms(deadline),
+                    deadline_ms=protocol.deadline_remaining_ms(deadline),
                     trace=trace,
                     with_meta=with_meta,
                 ):
@@ -942,15 +923,7 @@ class GatewayClientPool:
 
     async def stats_dict(self) -> "dict":
         """The endpoint's counters (one retried control round trip)."""
-        attempt = 0
-        while True:
-            client = None
-            try:
-                client = await self._lease()
-                return await client.stats_dict()
-            except (GatewayError, ConnectionError, OSError) as exc:
-                await self._handle_failure(exc, client, attempt)
-                attempt += 1
+        return await self._retried(lambda client: client.stats_dict())
 
     async def close(self) -> None:
         """Close every pooled connection."""

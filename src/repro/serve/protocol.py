@@ -345,13 +345,22 @@ def _read_exact(stream, n: int, *, allow_eof: bool = False) -> "bytes | None":
     return b"".join(chunks)
 
 
-# -- deadlines -----------------------------------------------------------
+# -- the request budget --------------------------------------------------
+# A request's budget is one absolute time.monotonic() instant (or None),
+# minted once where the request enters a process and passed down.  Every
+# rule that reads the clock for it lives here.
+def deadline_from_ms(budget_ms: "float | None") -> "float | None":
+    """Mint a budget: the instant ``budget_ms`` from now."""
+    if budget_ms is None:
+        return None
+    return time.monotonic() + budget_ms / 1e3
+
+
 def deadline_from_header(header: dict) -> "float | None":
     """Parse a request header's optional ``deadline_ms`` field.
 
-    Returns an **absolute** :func:`time.monotonic` instant (the budget
-    is relative to arrival, so it must be pinned the moment the frame
-    is decoded), or ``None`` when the field is absent.  A malformed or
+    Returns the budget, pinned at arrival (the field is relative to
+    it), or ``None`` when the field is absent.  A malformed or
     non-positive value is a recoverable ``400``: the sender asked for
     something impossible, not a corrupt stream.
     """
@@ -364,25 +373,63 @@ def deadline_from_header(header: dict) -> "float | None":
         raise ProtocolError(f"invalid deadline_ms: {raw!r}") from exc
     if not (0 < budget_ms < float("inf")):  # also rejects NaN and inf
         raise ProtocolError(f"deadline_ms must be positive, got {raw!r}")
-    return time.monotonic() + budget_ms / 1e3
+    return deadline_from_ms(budget_ms)
+
+
+def wire_ms(budget_ms: float) -> int:
+    """A budget as the wire carries it: whole milliseconds, at least 1,
+    so a nearly spent budget still crosses as a valid field and the
+    receiver expires it at once — the honest outcome."""
+    return max(1, int(budget_ms))
 
 
 def deadline_remaining_ms(deadline: "float | None") -> "int | None":
-    """Remaining budget in whole milliseconds for forwarding downstream.
-
-    Returns ``None`` for no deadline; clamps to ``>= 1`` so a nearly
-    expired deadline still crosses the wire as a valid (positive)
-    field — the receiver will expire it almost immediately, which is
-    the honest outcome.
-    """
+    """The ``deadline_ms`` a hop forwards: what is left, as :func:`wire_ms`."""
     if deadline is None:
         return None
-    return max(1, int((deadline - time.monotonic()) * 1e3))
+    return wire_ms((deadline - time.monotonic()) * 1e3)
 
 
 def deadline_expired(message: str = "deadline exceeded") -> ProtocolError:
     """The canonical 504: recoverable (the connection stays usable)."""
     return ProtocolError(message, code=ErrorCode.DEADLINE_EXCEEDED)
+
+
+def within(deadline: "float | None", aw, what: str, *, shield: bool = False):
+    """``aw``, its wait bounded by a request's budget.
+
+    Past ``deadline`` — or at once, if it has passed — the wait ends in
+    :func:`deadline_expired` ("deadline exceeded ``what``"); a timeout
+    inside ``aw`` (a hang guard) that fires first propagates as itself.
+    With ``shield=True`` only the wait ends: ``aw`` (a control round
+    trip, a connect) runs on under its own lock and timeout, so no reply
+    is left in flight for the next round trip and nothing is severed.
+    With no budget this is ``aw`` itself: no timer, no task, no await.
+    """
+    if deadline is None:
+        return aw
+    return _within(deadline, aw, what, shield)
+
+
+async def _within(deadline: float, aw, what: str, shield: bool):
+    left = deadline - time.monotonic()
+    if left <= 0:
+        if asyncio.iscoroutine(aw):
+            aw.close()  # never started
+        raise deadline_expired(f"deadline exceeded {what}")
+    if shield:
+        run = asyncio.ensure_future(aw)
+        # Once the waiter is gone nobody reads the run's outcome.
+        run.add_done_callback(lambda run: run.cancelled() or run.exception())
+        aw = asyncio.shield(run)
+    bound = asyncio.timeout(left)
+    try:
+        async with bound:
+            return await aw
+    except TimeoutError:
+        if not bound.expired():
+            raise
+        raise deadline_expired(f"deadline exceeded {what}") from None
 
 
 def trace_from_header(header: dict) -> "str | None":

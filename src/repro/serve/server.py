@@ -752,8 +752,8 @@ class WireServer:
         """
         timeout = self.write_timeout
         if deadline is not None:
-            remaining = max(0.001, deadline - time.monotonic())
-            timeout = remaining if timeout is None else min(timeout, remaining)
+            left = protocol.deadline_remaining_ms(deadline) / 1e3
+            timeout = left if timeout is None else min(timeout, left)
         await conn.wlock.acquire(conn.arrivals.get(request_id, -1))
         try:
             if self._closing:

@@ -46,14 +46,14 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.engine import RenderEngine, render_in_pool
 from repro.gaussians.camera import Camera
 from repro.gaussians.cloud import GaussianCloud, cloud_fingerprint
 from repro.raster.renderer import RenderResult
-from repro.serve.protocol import encode_camera, wire_result
+from repro.serve import protocol
+from repro.serve.protocol import ProtocolError, encode_camera, wire_result
 from repro.serve.render_cache import SharedRenderCache, render_key
 from repro.serve.scheduler import MicroBatcher
 from repro.trace.tracer import NULL_TRACER
@@ -384,13 +384,11 @@ class RenderService:
         is accounting only — the render path is identical for every
         class (admission decisions happen in the gateway, above).
 
-        ``deadline`` is an absolute :func:`time.monotonic` instant;
-        when it passes while this request is still waiting (admission
-        queue, micro-batch flush, engine render), the wait is abandoned
-        with :class:`asyncio.TimeoutError` — the caller no longer wants
-        the frame, so the last-waiter cancellation machinery reclaims
-        any work nobody else shares.  ``None`` is exactly the
-        pre-deadline behaviour.
+        ``deadline`` is a request budget (:mod:`repro.serve.protocol`);
+        past it the wait (admission queue, micro-batch flush, engine
+        render) ends in :class:`asyncio.TimeoutError`, and the
+        last-waiter cancellation machinery reclaims any work nobody
+        else shares.  ``None`` is exactly the pre-deadline behaviour.
 
         ``trace`` names the trace this request's spans belong to; with
         an enabled tracer and no id given, the service starts a fresh
@@ -398,26 +396,21 @@ class RenderService:
         identical either way.
         """
         self.stats.count_class(request_class)
-        if self.policy is None and deadline is None:
-            return await self._render_frame(
+        work = protocol.within(
+            deadline,
+            self._render_frame(
                 cloud, camera, request_class=request_class, trace=trace
-            )
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        if deadline is None:
-            result = await self._render_frame(
-                cloud, camera, request_class=request_class, trace=trace
-            )
-        else:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise asyncio.TimeoutError("deadline exceeded on arrival")
-            result = await asyncio.wait_for(
-                self._render_frame(
-                    cloud, camera, request_class=request_class, trace=trace
-                ),
-                remaining,
-            )
+            ),
+            "before the frame was ready",
+        )
+        try:
+            if self.policy is None:
+                return await work
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            result = await work
+        except ProtocolError as exc:  # the budget ran out
+            raise asyncio.TimeoutError(str(exc)) from None
         self._observe_latency(loop.time() - start)
         return result
 
@@ -530,12 +523,11 @@ class RenderService:
         what bounds the service's queue under slow clients.  Closing the
         generator early cancels every outstanding frame request.
         ``request_class`` counts the stream once (not per frame) in the
-        per-class request stats.  ``deadline`` (absolute
-        :func:`time.monotonic`, covering the *whole* stream) bounds
-        every frame wait: when it passes, the generator raises
-        :class:`asyncio.TimeoutError` and its ``finally`` drops all
-        outstanding work, as for an early close.  ``trace`` stamps every
-        frame's spans with one shared trace id (a stream is one
+        per-class request stats.  ``deadline`` (the budget of the
+        *whole* stream) bounds every frame wait: past it the generator
+        raises :class:`asyncio.TimeoutError` and its ``finally`` drops
+        all outstanding work, as for an early close.  ``trace`` stamps
+        every frame's spans with one shared trace id (a stream is one
         journey); with an enabled tracer and no id given, the stream
         starts a fresh trace.
         """
@@ -569,16 +561,15 @@ class RenderService:
                         )
                     )
                     next_submit += 1
-                if deadline is None:
-                    result = await tasks.pop(index)
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise asyncio.TimeoutError("stream deadline exceeded")
-                    # On timeout wait_for cancels the frame task; it is
-                    # still in ``tasks``, so the finally below settles it.
-                    result = await asyncio.wait_for(tasks[index], remaining)
-                    tasks.pop(index)
+                # Past the budget the frame task is cancelled; the
+                # finally below settles it.
+                try:
+                    result = await protocol.within(
+                        deadline, tasks[index], "in the stream"
+                    )
+                except ProtocolError as exc:
+                    raise asyncio.TimeoutError(str(exc)) from None
+                del tasks[index]
                 yield index, result
         finally:
             for task in tasks.values():

@@ -30,7 +30,8 @@ from repro.serve import (
     RenderGateway,
     RenderService,
 )
-from repro.serve.protocol import ErrorCode
+from repro.serve import protocol
+from repro.serve.protocol import ErrorCode, MessageType
 from repro.tiles.boundary import BoundaryMethod
 from tests.conftest import make_cloud
 
@@ -602,6 +603,80 @@ class TestFailover:
 
         result, failovers = run_cluster(renderer, body)
         assert np.array_equal(result.image, reference[0].image)
+        assert failovers == 0
+
+
+class TestRequestBudget:
+    def test_silent_scene_push_is_a_504_not_a_failover(self, scene):
+        """The route's scene push to a backend that takes SCENE and never
+        answers is bounded by the request's ``deadline_ms``, not by the
+        60 s ``request_timeout``; a spent budget is not a backend
+        failure."""
+        cloud, cameras = scene
+
+        async def silent_scene(reader, writer):
+            writer.write(protocol.encode_frame(
+                MessageType.HELLO, {"version": protocol.PROTOCOL_VERSION}
+            ))
+            await writer.drain()
+            await reader.read()  # takes SCENE (and the rest), answers nothing
+            writer.close()
+
+        async def main():
+            backend = await asyncio.start_server(
+                silent_scene, host="127.0.0.1", port=0
+            )
+            port = backend.sockets[0].getsockname()[1]
+            cluster_map = ClusterMap(
+                [BackendSpec("b0", "127.0.0.1", port)], replication=1
+            )
+            monitor = HealthMonitor(cluster_map, down_after=1, up_after=1)
+            router = ShardRouter(
+                cluster_map, monitor=monitor, request_timeout=60
+            )
+            await router.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.tcp_port
+                )
+                try:
+                    await protocol.client_hello(reader, writer, None)
+                    # With b0 down the router caches the SCENE payload
+                    # and pushes it nowhere (a 503) ...
+                    monitor.report_failure("b0")
+                    header, blob = protocol.encode_cloud(cloud)
+                    writer.write(protocol.encode_frame(
+                        MessageType.SCENE, header, blob
+                    ))
+                    refused = await protocol.read_frame(reader)
+                    # ... so routing the RENDER must push it to b0 first.
+                    monitor.observe("b0", True)
+                    writer.write(protocol.encode_frame(
+                        MessageType.RENDER,
+                        {
+                            "request_id": 1,
+                            "scene_id": cloud_fingerprint(cloud),
+                            "camera": protocol.encode_camera(cameras[0]),
+                            "deadline_ms": 200,
+                        },
+                    ))
+                    await writer.drain()
+                    answer = await asyncio.wait_for(
+                        protocol.read_frame(reader), 5
+                    )
+                finally:
+                    writer.close()
+                return refused, answer, router.stats.failovers
+            finally:
+                await router.close()
+                backend.close()
+                await backend.wait_closed()
+
+        refused, answer, failovers = asyncio.run(main())
+        assert refused.header["code"] == int(ErrorCode.SHUTTING_DOWN)
+        assert answer.type is MessageType.ERROR
+        assert answer.header["request_id"] == 1
+        assert answer.header["code"] == int(ErrorCode.DEADLINE_EXCEEDED)
         assert failovers == 0
 
 

@@ -167,3 +167,115 @@ class TestBlockingFacade:
         assert len(running) == 1
         assert after_close == after_second_close == after_refusal == set()
         assert error.code == int(ErrorCode.UNAUTHORIZED)
+
+
+class TestSceneBudget:
+    """A server that sends HELLO and never answers SCENE: ``deadline_ms``
+    bounds the scene push, so each client ends in a 504 rather than in
+    the outer hang guard."""
+
+    cloud = make_cloud(6, np.random.default_rng(9))
+    camera = Camera(width=3, height=4, fx=50.0, fy=50.0)
+
+    @staticmethod
+    async def _silent(reader, writer):
+        writer.write(_hello())
+        await writer.drain()
+        await reader.read()  # takes everything, answers nothing
+        writer.close()
+
+    def test_async_client_render_and_stream_are_504s(self):
+        async def stream(client):
+            async for _ in client.stream_trajectory(
+                self.cloud, [self.camera], deadline_ms=200
+            ):
+                pass
+
+        async def body(port):
+            client = await AsyncGatewayClient.connect("127.0.0.1", port)
+            errors = []
+            try:
+                for call in (
+                    client.render_frame(
+                        self.cloud, self.camera, deadline_ms=200
+                    ),
+                    stream(client),
+                ):
+                    with pytest.raises(GatewayError) as info:
+                        await asyncio.wait_for(call, 5)
+                    errors.append(info.value)
+            finally:
+                await client.close()
+            return errors
+
+        errors = _with_server(self._silent, body)
+        assert [error.code for error in errors] == [
+            int(ErrorCode.DEADLINE_EXCEEDED)
+        ] * 2
+
+    def test_blocking_client_render_and_stream_are_504s(self):
+        def work(port):
+            errors = []
+            with GatewayClient("127.0.0.1", port, timeout=5) as client:
+                with pytest.raises(GatewayError) as info:
+                    client.render_frame(
+                        self.cloud, self.camera, deadline_ms=200
+                    )
+                errors.append(info.value)
+                with pytest.raises(GatewayError) as info:
+                    list(client.stream_trajectory(
+                        self.cloud, [self.camera], deadline_ms=200
+                    ))
+                errors.append(info.value)
+            return errors
+
+        errors = _with_server(self._silent, _in_thread(work))
+        assert [error.code for error in errors] == [
+            int(ErrorCode.DEADLINE_EXCEEDED)
+        ] * 2
+
+    def test_a_cut_short_scene_push_leaves_no_reply_in_flight(self):
+        """The SCENE_OK of a push the budget cut short arrives late; it
+        must be consumed by the push, not answer the next round trip."""
+        late = asyncio.Event()
+        received = []
+
+        async def serve(reader, writer):
+            writer.write(_hello())
+            while (frame := await protocol.read_frame(reader)) is not None:
+                received.append(frame.type)
+                if frame.type is MessageType.SCENE:
+                    await late.wait()
+                    writer.write(protocol.encode_frame(
+                        MessageType.SCENE_OK, {"scene_id": "s"}
+                    ))
+                elif frame.type is MessageType.STATS:
+                    writer.write(protocol.encode_frame(
+                        MessageType.STATS_OK, {"service": {"requests": 7}}
+                    ))
+                await writer.drain()
+            writer.close()
+
+        async def body(port):
+            client = await AsyncGatewayClient.connect("127.0.0.1", port)
+            try:
+                with pytest.raises(GatewayError) as info:
+                    await asyncio.wait_for(
+                        client.render_frame(
+                            self.cloud, self.camera, deadline_ms=200
+                        ),
+                        5,
+                    )
+                late.set()
+                stats = await asyncio.wait_for(client.stats_dict(), 5)
+                scene_id = await client.ensure_scene(self.cloud)
+            finally:
+                await client.close()
+            return info.value, stats, scene_id
+
+        error, stats, scene_id = _with_server(serve, body)
+        assert error.code == int(ErrorCode.DEADLINE_EXCEEDED)
+        assert stats["requests"] == 7
+        # The late SCENE_OK registered the scene: no second push.
+        assert scene_id == "s"
+        assert received.count(MessageType.SCENE) == 1

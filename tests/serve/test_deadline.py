@@ -337,6 +337,111 @@ class TestPoolDeadline:
         assert sleeps == []
 
 
+    def test_budget_bounds_the_reconnect(self, scene):
+        """A server that accepts and never sends HELLO: the reconnect
+        may take ``connect_timeout``, but the request's budget ends the
+        wait with a 504, not a 503 once the connect times out."""
+        cloud, camera = scene
+
+        async def mute(reader, writer):
+            await reader.read()
+            writer.close()
+
+        async def main():
+            server = await asyncio.start_server(
+                mute, host="127.0.0.1", port=0
+            )
+            port = server.sockets[0].getsockname()[1]
+            pool = GatewayClientPool("127.0.0.1", port, connect_timeout=5)
+            try:
+                with pytest.raises(GatewayError) as info:
+                    await asyncio.wait_for(
+                        pool.render_frame(cloud, camera, deadline_ms=200),
+                        2.5,  # a hang guard below connect_timeout
+                    )
+                return info.value
+            finally:
+                await pool.close()
+                server.close()
+                await server.wait_closed()
+
+        error = asyncio.run(main())
+        assert error.code == int(ErrorCode.DEADLINE_EXCEEDED)
+        assert "connecting" in error.message
+
+
+    @staticmethod
+    def _late_hello_pool(scenario):
+        """Run ``scenario(pool, release, ended)`` against a server that
+        sends HELLO only once ``release`` is set, answers STATS, and
+        sets ``ended`` when the client ends its connection; returns
+        the scenario's result and the number of connections made."""
+        release = asyncio.Event()
+        connections = []
+        ended = asyncio.Event()
+
+        async def late_hello(reader, writer):
+            connections.append(writer)
+            await release.wait()
+            writer.write(protocol.encode_frame(
+                MessageType.HELLO, {"version": protocol.PROTOCOL_VERSION}
+            ))
+            while (frame := await protocol.read_frame(reader)) is not None:
+                if frame.type is MessageType.BYE:
+                    break
+                if frame.type is MessageType.STATS:
+                    writer.write(protocol.encode_frame(
+                        MessageType.STATS_OK, {"service": {}, "gateway": {}}
+                    ))
+                await writer.drain()
+            ended.set()
+            writer.close()
+
+        async def main():
+            server = await asyncio.start_server(
+                late_hello, host="127.0.0.1", port=0
+            )
+            port = server.sockets[0].getsockname()[1]
+            pool = GatewayClientPool(
+                "127.0.0.1", port, size=1, connect_timeout=5
+            )
+            try:
+                return await scenario(pool, release, ended), len(connections)
+            finally:
+                await pool.close()
+                server.close()
+                await server.wait_closed()
+
+        return asyncio.run(main())
+
+    def test_a_cut_short_reconnect_fills_the_slot(self, scene):
+        cloud, camera = scene
+
+        async def scenario(pool, release, ended):
+            with pytest.raises(GatewayError) as info:
+                await pool.render_frame(cloud, camera, deadline_ms=200)
+            release.set()
+            await asyncio.wait_for(pool.stats_dict(), 5)
+            return info.value
+
+        error, connections = self._late_hello_pool(scenario)
+        assert error.code == int(ErrorCode.DEADLINE_EXCEEDED)
+        assert connections == 1  # the next request found it connected
+
+    def test_a_reconnect_landing_after_close_is_not_kept(self, scene):
+        cloud, camera = scene
+
+        async def scenario(pool, release, ended):
+            with pytest.raises(GatewayError):
+                await pool.render_frame(cloud, camera, deadline_ms=200)
+            await pool.close()
+            release.set()  # the connect completes on a closed pool
+            await asyncio.wait_for(ended.wait(), 5)  # and is ended
+
+        _, connections = self._late_hello_pool(scenario)
+        assert connections == 1
+
+
 class TestClientChecksum:
     def test_client_rejects_a_lying_frame_as_retryable(self, scene):
         """A FRAME whose blob does not match its ``sha256`` must never

@@ -9,6 +9,10 @@ Two rules keep the one-server design from decaying back into copies:
   are written once, in :class:`repro.serve.server.WireServer`: no
   server built on it — and nothing in the gateway or router modules —
   defines them again.
+
+A third keeps one request budget: the clock a request's deadline is
+read on (``time.monotonic``) is read in ``serve/protocol.py`` only,
+apart from the named clocks below that are not request budgets.
 """
 
 import ast
@@ -34,6 +38,17 @@ CORE_METHODS = (
 #: The modules whose servers run on the core.
 FRONT_ENDS = ("serve/gateway.py", "cluster/router.py")
 
+#: Reads of ``time.monotonic`` outside ``serve/protocol.py``, by module
+#: and scope: clocks that are not request budgets.
+OTHER_CLOCKS = {
+    ("cluster/health.py", "BackendHealth"): "markup time",
+    ("cluster/health.py", "HealthMonitor.observe"): "markup time",
+    ("cluster/health.py", "HealthMonitor.set_draining"): "markup time",
+    ("cluster/supervisor.py", "LocalFleet._await_ready"): "fleet startup",
+    ("cluster/supervisor.py", "LocalFleet.close"): "fleet stop",
+    ("serve/server.py", "WireServer.drain"): "drain grace",
+}
+
 
 def parse(relative: str) -> ast.Module:
     return ast.parse((SRC / relative).read_text(encoding="utf-8"))
@@ -55,6 +70,30 @@ def defined_functions(node: ast.AST) -> "set[str]":
         for child in ast.walk(node)
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+
+
+def monotonic_reads(tree: ast.Module) -> "set[str]":
+    """Scopes (``Class.method``) that read ``time.monotonic``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "monotonic"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "time"
+            ) or (isinstance(child, ast.Name) and child.id == "monotonic"):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
 
 
 def server_subclasses() -> "list[tuple[str, ast.ClassDef]]":
@@ -112,3 +151,14 @@ def test_no_server_subclass_redefines_the_core():
         for name in defined_functions(node) & set(CORE_METHODS)
     }
     assert redefined == set()
+
+
+def test_only_protocol_reads_the_request_clock():
+    reads = {
+        (module, scope)
+        for package in ("serve", "cluster")
+        for path in sorted((SRC / package).rglob("*.py"))
+        if (module := str(path.relative_to(SRC))) != "serve/protocol.py"
+        for scope in monotonic_reads(parse(module))
+    }
+    assert reads == set(OTHER_CLOCKS)
