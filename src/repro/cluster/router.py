@@ -29,10 +29,13 @@ Between the two sits the routing decision:
   duplicates and no gaps (test-asserted; the CI smoke job kills a
   backend mid-stream and bit-verifies the result).
 
-Relayed frames are **bit-identical end to end**: the router decodes
-only JSON headers (to rewrite ``request_id``/``index``) and passes
-every binary blob — scene arrays, rendered images — through untouched,
-reusing the protocol codecs unchanged.  What the client receives is
+Relayed frames are **bit-identical end to end**: the router reads a
+frame's JSON header to route it, and forwards the frame as it arrived
+with only ``request_id``/``index`` rewritten in the header's raw bytes
+(:func:`repro.serve.protocol.relay_parts`).  A FRAME's blob is received
+into a buffer of its own by the link's
+:class:`~repro.serve.protocol.FrameReader` and written to the client
+from there, never copied or re-encoded.  What the client receives is
 byte-for-byte what a single gateway would have sent.  The invariant is
 *checked*, not assumed: FRAMEs carry a ``sha256`` of their blob and
 the router verifies it before relaying — a backend (or the path to
@@ -87,7 +90,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import socket
 from dataclasses import asdict, dataclass
 
 from repro.gaussians.cloud import cloud_fingerprint
@@ -103,39 +105,6 @@ from repro.cluster.topology import BackendSpec, ClusterMap
 
 class LinkLostError(ConnectionError):
     """A backend connection died under an in-flight request."""
-
-
-#: Receive buffer asked of the kernel for a backend link, in bytes.  One
-#: link carries every client's streams to that backend, and a cached
-#: stream reaches it as a burst (24 frames of 400 KB within a few ms).
-#: Whatever of stream A did not fit between the two processes when
-#: stream B's request landed was interleaved with B frame by frame
-#: (before backends wrote a connection's ready frames oldest first),
-#: which doubled those frames' gaps for both clients; and how much fits
-#: is otherwise wherever receive autotuning happens to stop (3 to 33 MB
-#: seen from one run to the next).  A fixed buffer that holds a whole
-#: stream makes it the same every run.
-LINK_RCVBUF = 4 << 20
-
-
-def _pin_receive_buffer(sock: "socket.socket | None") -> None:
-    """Fix a link socket's receive buffer at :data:`LINK_RCVBUF`.
-
-    An explicit ``SO_RCVBUF`` switches the kernel's autotuning off for
-    that socket for good, so the request is tried on a throwaway socket
-    first: where the kernel grants less (``net.core.rmem_max``) the
-    link is left alone rather than pinned small.
-    """
-    if sock is None:
-        return
-    try:
-        with socket.socket(sock.family, sock.type) as probe:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LINK_RCVBUF)
-            granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
-        if granted >= LINK_RCVBUF:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LINK_RCVBUF)
-    except OSError:
-        pass
 
 
 @dataclass
@@ -223,7 +192,7 @@ class BackendLink:
         self.control_timeout = control_timeout
         self.write_timeout = write_timeout
         self.pushed_scenes: "set[str]" = set()
-        self._reader: "asyncio.StreamReader | None" = None
+        self._reader: "protocol.FrameReader | None" = None
         self._writer: "asyncio.StreamWriter | None" = None
         self._read_task: "asyncio.Task | None" = None
         self._wlock = asyncio.Lock()
@@ -275,7 +244,9 @@ class BackendLink:
                 await asyncio.gather(old_task, return_exceptions=True)
             try:
                 reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.spec.host, self.spec.port),
+                    protocol.open_frame_connection(
+                        self.spec.host, self.spec.port
+                    ),
                     self.connect_timeout,
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
@@ -283,7 +254,6 @@ class BackendLink:
                     f"cannot connect to backend {self.spec.backend_id} at "
                     f"{self.spec.host}:{self.spec.port}: {exc}"
                 ) from exc
-            _pin_receive_buffer(writer.get_extra_info("socket"))
             try:
                 await asyncio.wait_for(
                     protocol.client_hello(reader, writer, self.auth_token),
@@ -643,6 +613,7 @@ class ShardRouter(WireServer):
         )
         self._links: "dict[str, BackendLink]" = {}
         self._scene_frames: "dict[str, bytes]" = {}
+        self._replicating: "set[asyncio.Task]" = set()
 
     def metrics_dict(self) -> dict:
         """The METRICS / ``/metrics`` snapshot for the router node.
@@ -672,6 +643,9 @@ class ShardRouter(WireServer):
     async def close(self) -> None:
         """Stop listeners, cancel in-flight work, close backend links."""
         await super().close()
+        for task in self._replicating:
+            task.cancel()
+        await asyncio.gather(*self._replicating, return_exceptions=True)
         if self._own_monitor:
             await self.health.close()
         for link in self._links.values():
@@ -832,11 +806,15 @@ class ShardRouter(WireServer):
         }
 
     async def _on_scene(self, conn: _Connection, frame: Frame) -> None:
-        """SCENE: fingerprint, cache the payload, replicate, SCENE_OK.
+        """SCENE: fingerprint and cache the payload, then replicate it.
 
         The cloud is decoded only to learn its content fingerprint (the
         routing key); what the backends receive is the client's exact
-        bytes, re-framed.
+        bytes, re-framed.  Replication runs as a task of its own that
+        answers SCENE_OK (or the 503): a replica that takes the SCENE
+        and never answers holds back that answer, not the requests
+        behind it on the connection, which push the cached payload to
+        their backend themselves (:meth:`_acquire_link`).
         """
         cloud = protocol.decode_cloud(frame.header, frame.blob)
         scene_id = cloud_fingerprint(cloud)
@@ -850,9 +828,17 @@ class ShardRouter(WireServer):
                 MessageType.SCENE, frame.header, frame.blob
             )
             self.stats.scenes_cached += 1
-        # Eagerly place the scene on every live replica so failover
-        # targets are warm; a backend that cannot be reached now gets
-        # the payload lazily when it is first routed to.
+        task = asyncio.ensure_future(self._replicate(conn, scene_id))
+        self._replicating.add(task)
+        task.add_done_callback(self._replicating.discard)
+
+    async def _replicate(self, conn: _Connection, scene_id: str) -> None:
+        """Place a cached scene on every live replica, then answer.
+
+        Eager placement keeps failover targets warm; a backend that
+        cannot be reached now gets the payload lazily when it is first
+        routed to.  With no replica placed the answer is a 503.
+        """
         placed = 0
         for spec in self.topology.replicas(scene_id):
             if not self.health.is_up(spec.backend_id):
@@ -864,14 +850,23 @@ class ShardRouter(WireServer):
             except (LinkLostError, ProtocolError) as exc:
                 self.health.report_failure(spec.backend_id, error=str(exc))
         if placed == 0:
-            raise ProtocolError(
+            self.stats.errors += 1
+            await self._send_error(
+                conn,
+                None,
+                ErrorCode.SHUTTING_DOWN,
                 "no replica accepted the scene (all backends down?)",
-                code=ErrorCode.SHUTTING_DOWN,
             )
-        await self._send(
-            conn,
-            protocol.encode_frame(MessageType.SCENE_OK, {"scene_id": scene_id}),
-        )
+            return
+        try:
+            await self._send(
+                conn,
+                protocol.encode_frame(
+                    MessageType.SCENE_OK, {"scene_id": scene_id}
+                ),
+            )
+        except (ConnectionError, OSError):
+            pass  # the client went away; the scene stays placed
 
     def _fulfil(
         self, conn, request_id, frame, request_class, deadline, trace,
@@ -1029,18 +1024,16 @@ class ShardRouter(WireServer):
                                 request_class,
                                 asyncio.get_running_loop().time() - started,
                             )
-                        header = dict(frame.header)
-                        header["request_id"] = request_id
-                        header["index"] = base + int(frame.header["index"])
+                        parts = protocol.relay_parts(
+                            frame, request_id, base + int(frame.header["index"])
+                        )
                         stall = asyncio.get_running_loop().call_later(
                             RELAY_STALL_S, link.stalled, backend_id
                         )
                         try:
                             await self._send(
                                 conn,
-                                protocol.encode_frame(
-                                    MessageType.FRAME, header, frame.blob
-                                ),
+                                *parts,
                                 deadline=deadline,
                                 request_id=request_id,
                             )
@@ -1129,13 +1122,9 @@ class ShardRouter(WireServer):
         A backend's ERROR — a 404, or a 429 with its ``retry_after_ms``
         hint — crosses the hop untranslated.
         """
-        header = dict(frame.header)
-        header["request_id"] = request_id
         if frame.type is MessageType.ERROR:
             self.stats.errors += 1
-        await self._send(
-            conn, protocol.encode_frame(frame.type, header, frame.blob)
-        )
+        await self._send(conn, *protocol.relay_parts(frame, request_id))
 
     # -- stats aggregation ----------------------------------------------
     #: Deadline per backend stats round trip — deliberately short (the

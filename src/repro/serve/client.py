@@ -115,15 +115,10 @@ def _gateway_error(exc: ProtocolError) -> GatewayError:
     return GatewayError(int(exc.code), str(exc))
 
 
-#: ``StreamReader`` limit of an :class:`AsyncGatewayClient` connection.
-#: A FRAME is some 400 KB.  Under asyncio's 64 KiB default the transport
-#: stops reading at 128 KiB buffered and is restarted by the reader two
-#: or three times *per frame*; the socket then drains in fits, and where
-#: the kernel's receive-buffer autotuning ends up (3 to 33 MB seen) — and
-#: with it how often the server's write blocks — differs from run to
-#: run.  With room for a few frames the transport never pauses, and the
-#: buffer grows to its ceiling every time.
-READ_LIMIT = 1 << 20
+#: Read-ahead bound of an :class:`AsyncGatewayClient` connection: its
+#: :class:`~repro.serve.protocol.FrameReader` stops reading the socket
+#: past this many bytes of frames the client has not taken yet.
+READ_LIMIT = protocol.READ_LIMIT
 
 
 class AsyncGatewayClient:
@@ -156,7 +151,7 @@ class AsyncGatewayClient:
         self.port = port
         self.auth_token = resolve_auth_token(auth_token)
         self.hello: "dict" = {}
-        self._reader: "asyncio.StreamReader | None" = None
+        self._reader: "protocol.FrameReader | None" = None
         self._writer: "asyncio.StreamWriter | None" = None
         self._read_task: "asyncio.Task | None" = None
         self._wlock = asyncio.Lock()
@@ -181,8 +176,8 @@ class AsyncGatewayClient:
         instead of dying on the first real request.
         """
         client = cls(host, port, auth_token=auth_token)
-        client._reader, client._writer = await asyncio.open_connection(
-            host, port, limit=READ_LIMIT
+        client._reader, client._writer = await protocol.open_frame_connection(
+            host, port
         )
         try:
             client.hello = await protocol.client_hello(

@@ -416,13 +416,13 @@ class RenderGateway(WireServer):
             async for index, result in results:
                 if sent == 0:
                     self._observe(request_class, loop.time() - started)
-                payload = protocol.encode_result_frame(
+                head, blob = protocol.result_frame_parts(
                     request_id, index, result,
                     backend=self.node_id, trace=client_trace,
                 )
                 wire_start = self.tracer.now() if self.tracer.enabled else 0.0
                 await self._send(
-                    conn, payload, deadline=deadline, request_id=request_id
+                    conn, head, blob, deadline=deadline, request_id=request_id
                 )
                 if self.tracer.enabled:
                     self.tracer.record(
@@ -430,7 +430,7 @@ class RenderGateway(WireServer):
                         trace=trace,
                         start=wire_start,
                         end=self.tracer.now(),
-                        attrs={"bytes": len(payload), "index": index},
+                        attrs={"bytes": len(head) + len(blob), "index": index},
                     )
                 sent += 1
                 self.stats.frames_sent += 1

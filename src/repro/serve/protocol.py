@@ -105,9 +105,11 @@ import asyncio
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -206,24 +208,30 @@ class ProtocolError(Exception):
 class Frame:
     """One decoded wire frame: type byte, JSON header, binary blob.
 
-    ``digest`` is the blob's sha256 hex being computed on the digest
-    thread once :func:`start_digest` started it, else ``None``; it is
-    not part of the frame's value.
+    A received ``blob`` is a read-only view of the buffer the payload
+    arrived in.  ``digest`` is the blob's sha256 hex being computed on
+    the digest thread once :func:`start_digest` started it, else
+    ``None``; it is not part of the frame's value.
     """
 
     type: MessageType
     header: dict
-    blob: bytes = b""
+    blob: "bytes | memoryview" = b""
     digest: "Future[str] | None" = field(
         default=None, repr=False, compare=False
     )
+    #: The header's JSON bytes as received (empty on a frame built in
+    #: memory); :func:`relay_parts` splices them.
+    head: bytes = field(default=b"", repr=False, compare=False)
 
 
 def encode_frame(
     msg_type: MessageType, header: "dict | None" = None, blob: bytes = b""
 ) -> bytes:
     """Serialise one frame to wire bytes (prefix + type + header + blob)."""
-    return _frame_bytes(msg_type, _dumps(header or {}).encode("utf-8"), blob)
+    return b"".join(
+        _frame_parts(msg_type, _dumps(header or {}).encode("utf-8"), blob)
+    )
 
 
 def _dumps(value) -> str:
@@ -231,28 +239,31 @@ def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def _frame_bytes(
+def _frame_parts(
     msg_type: MessageType, header_bytes: bytes, blob: "bytes | memoryview"
-) -> bytes:
-    """Frame an already-serialised JSON header and its blob."""
+) -> "tuple[bytes, bytes | memoryview]":
+    """Frame an already-serialised JSON header and its blob as two
+    buffers, ``(prefix + type + header, blob)``, so a large blob is
+    written to the socket without first being copied."""
     payload_len = _HEAD.size + len(header_bytes) + len(blob)
     if payload_len > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {payload_len} bytes exceeds MAX_FRAME_BYTES",
             code=ErrorCode.FRAME_TOO_LARGE,
         )
-    return b"".join(
-        (
-            _PREFIX.pack(payload_len),
-            _HEAD.pack(int(msg_type), len(header_bytes)),
-            header_bytes,
-            blob,
-        )
+    return (
+        _PREFIX.pack(payload_len)
+        + _HEAD.pack(int(msg_type), len(header_bytes))
+        + header_bytes,
+        blob,
     )
 
 
-def _parse_payload(payload: bytes) -> Frame:
-    """Decode a frame's payload (everything after the length prefix)."""
+def _parse_payload(payload: "bytes | bytearray") -> Frame:
+    """Decode a frame's payload (everything after the length prefix).
+
+    The blob is a read-only view of ``payload``, not a copy.
+    """
     if len(payload) < _HEAD.size:
         raise ProtocolError("frame payload shorter than its fixed header")
     type_byte, header_len = _HEAD.unpack_from(payload)
@@ -262,16 +273,15 @@ def _parse_payload(payload: bytes) -> Frame:
         msg_type = MessageType(type_byte)
     except ValueError as exc:
         raise ProtocolError(f"unknown message type {type_byte}") from exc
-    header_bytes = payload[_HEAD.size : _HEAD.size + header_len]
+    head = bytes(payload[_HEAD.size : _HEAD.size + header_len])
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
-    return Frame(
-        type=msg_type, header=header, blob=payload[_HEAD.size + header_len :]
-    )
+    blob = memoryview(payload).toreadonly()[_HEAD.size + header_len :]
+    return Frame(type=msg_type, header=header, blob=blob, head=head)
 
 
 async def read_frame(
@@ -284,7 +294,11 @@ async def read_frame(
     itself is corrupt (oversized length, EOF mid-frame) and with
     ``fatal=False`` when the frame was read whole but its contents are
     malformed — the caller may answer with an ERROR frame and continue.
+    A :class:`FrameReader` gives the same answers, under the
+    ``max_frame`` it was built with.
     """
+    if isinstance(reader, FrameReader):
+        return await reader.read()
     try:
         prefix = await reader.readexactly(_PREFIX.size)
     except asyncio.IncompleteReadError as exc:
@@ -343,6 +357,198 @@ def _read_exact(stream, n: int, *, allow_eof: bool = False) -> "bytes | None":
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+#: Bytes of whole frames a :class:`FrameReader` holds unread before it
+#: stops reading its socket.  A FRAME is some 400 KB; room for a few of
+#: them lets the socket drain as fast as frames arrive, so the kernel's
+#: receive buffer (and with it how often the sender's writes block) grows
+#: the same way every run.
+READ_LIMIT = 1 << 20
+
+#: Bytes a :class:`FrameReader` receives at once while no payload is in
+#: progress: the next length prefix, and the small frames behind it.
+_STAGE_BYTES = 64 * 1024
+
+
+class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
+    """The receiving end of a frame connection: each payload is received
+    into a ``bytearray`` of exactly its size.
+
+    Bytes arrive in a small staging buffer until a length prefix is
+    whole.  The prefix is checked against ``max_frame`` before anything
+    is allocated; then the payload's buffer is allocated, the part of it
+    already staged is copied in, and the socket receives the rest
+    straight into it (``recv_into``).  A 400 KB FRAME is never copied
+    whole, and its blob is a view of that buffer (:func:`_parse_payload`).
+
+    :meth:`read` gives what :func:`read_frame` gives over a
+    ``StreamReader``: ``None`` on EOF at a frame boundary, a fatal
+    :class:`ProtocolError` on EOF inside a prefix or payload or on an
+    oversized prefix, a recoverable one for a malformed payload.  Frames
+    that arrived before the peer closed (or before a fatal error) are
+    read first.  Past ``read_ahead`` bytes of unread frames, the socket
+    is no longer read until the reader catches up.
+
+    The write side is asyncio's: pair it with a :class:`asyncio.
+    StreamWriter` (:func:`open_frame_connection`), whose ``drain`` waits
+    on this protocol's flow control.
+    """
+
+    def __init__(
+        self,
+        *,
+        max_frame: int = MAX_FRAME_BYTES,
+        read_ahead: int = READ_LIMIT,
+        loop=None,
+    ) -> None:
+        super().__init__(loop=loop)
+        self._max_frame = max_frame
+        self._read_ahead = read_ahead
+        self._stage = bytearray(_STAGE_BYTES)
+        self._staged = 0  # bytes in _stage: less than one length prefix
+        # The unfilled part of the payload arriving (a view of it).
+        self._into: "memoryview | None" = None
+        self._frames: "deque[bytearray]" = deque()
+        self._unread = 0  # bytes of whole frames not yet read
+        self._waiter: "asyncio.Future | None" = None
+        self._eof = False
+        self._error: "BaseException | None" = None
+        self._transport = None
+        self._reading = True
+        self._closed = self._loop.create_future()
+
+    # -- the event loop's side ---------------------------------------------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._into is not None:
+            return self._into
+        return memoryview(self._stage)[self._staged :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._error is not None:
+            return  # past a fatal error nothing more is framed
+        if self._into is not None:
+            payload = self._into.obj
+            self._into = self._into[nbytes:]
+            if not self._into:
+                self._into = None
+                self._arrived(payload)
+            return
+        end = self._staged + nbytes
+        stage = self._stage
+        start = 0
+        while end - start >= _PREFIX.size:
+            (size,) = _PREFIX.unpack_from(stage, start)
+            if size > self._max_frame:
+                self._fail(ProtocolError(
+                    f"declared frame length {size} exceeds the "
+                    f"{self._max_frame}-byte bound",
+                    code=ErrorCode.FRAME_TOO_LARGE,
+                    fatal=True,
+                ))
+                return
+            start += _PREFIX.size
+            staged = min(size, end - start)
+            payload = bytearray(size)
+            payload[:staged] = memoryview(stage)[start : start + staged]
+            start += staged
+            if staged < size:
+                self._into = memoryview(payload)[staged:]
+                break
+            self._arrived(payload)
+        self._staged = end - start
+        if self._staged:
+            stage[: self._staged] = stage[start:end]
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # a half-close: what the peer sent stays readable
+
+    def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
+        self._eof = True
+        if exc is not None and self._error is None:
+            self._error = exc
+        if not self._closed.done():
+            if exc is None:
+                self._closed.set_result(None)
+            else:
+                self._closed.set_exception(exc)
+        self._transport = None
+        self._wake()
+
+    def _get_close_waiter(self, stream) -> "asyncio.Future":
+        return self._closed
+
+    def __del__(self) -> None:
+        closed = getattr(self, "_closed", None)
+        if closed is not None and closed.done() and not closed.cancelled():
+            closed.exception()  # retrieved: nobody else may look
+
+    def _arrived(self, payload: bytearray) -> None:
+        self._frames.append(payload)
+        self._unread += len(payload)
+        if self._unread > self._read_ahead and self._reading:
+            self._reading = False
+            self._transport.pause_reading()
+        self._wake()
+
+    def _fail(self, error: ProtocolError) -> None:
+        self._error = error
+        self._into = None
+        self._staged = 0
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    # -- the reading task's side -------------------------------------------
+    async def read(self) -> "Frame | None":
+        """The next frame (see the class doc for EOF and errors)."""
+        while not self._frames:
+            if self._error is not None:
+                raise self._error
+            if self._eof:
+                if self._into is not None:
+                    raise ProtocolError(
+                        "EOF inside a frame payload", fatal=True
+                    )
+                if self._staged:
+                    raise ProtocolError(
+                        "EOF inside a frame length prefix", fatal=True
+                    )
+                return None
+            self._waiter = self._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        payload = self._frames.popleft()
+        self._unread -= len(payload)
+        if not self._reading and self._unread <= self._read_ahead:
+            self._reading = True
+            if self._transport is not None:
+                self._transport.resume_reading()
+        return _parse_payload(payload)
+
+
+async def open_frame_connection(
+    host: str, port: int
+) -> "tuple[FrameReader, asyncio.StreamWriter]":
+    """Connect to a frame server: a :class:`FrameReader` and a writer.
+
+    The one way the protocol's clients (:class:`~repro.serve.client.
+    AsyncGatewayClient`, the router's backend links) open a connection.
+    """
+    loop = asyncio.get_running_loop()
+    reader = FrameReader(loop=loop)
+    transport, _ = await loop.create_connection(lambda: reader, host, port)
+    return reader, asyncio.StreamWriter(transport, reader, None, loop)
 
 
 # -- the request budget --------------------------------------------------
@@ -828,7 +1034,27 @@ def encode_result_frame(
     backend: "str | None" = None,
     trace: "str | None" = None,
 ) -> bytes:
-    """Encode one rendered frame as a FRAME wire message.
+    """Encode one rendered frame as a FRAME wire message: the bytes of
+    :func:`result_frame_parts`, joined."""
+    return b"".join(
+        result_frame_parts(
+            request_id, index, result,
+            checksum=checksum, backend=backend, trace=trace,
+        )
+    )
+
+
+def result_frame_parts(
+    request_id: int,
+    index: int,
+    result: RenderResult,
+    *,
+    checksum: bool = True,
+    backend: "str | None" = None,
+    trace: "str | None" = None,
+) -> "tuple[bytes, bytes | memoryview]":
+    """One rendered frame as a FRAME's two buffers: the framed header,
+    and the image's bytes.
 
     The image travels as raw bytes (bit-exact); the stats ride in the
     header, along with a ``sha256`` digest of the blob (unless
@@ -866,9 +1092,44 @@ def encode_result_frame(
     if checksum:
         parts += (',"sha256":"', wire.digest, '"')
     parts.append("}")
-    return _frame_bytes(
+    return _frame_parts(
         MessageType.FRAME, "".join(parts).encode("utf-8"), wire.blob
     )
+
+
+#: A header's leading ``request_id``, and an ``index`` right behind it,
+#: as :func:`result_frame_parts` and every other encoder here write them.
+_LEADING_ID = re.compile(rb'\{"request_id":-?\d+(?=[,}])')
+_NEXT_INDEX = re.compile(rb',"index":-?\d+(?=[,}])')
+
+
+def relay_parts(
+    frame: Frame, request_id: int, index: "int | None" = None
+) -> "tuple[bytes, bytes | memoryview]":
+    """A received frame re-addressed for the next hop, as two buffers.
+
+    ``request_id`` (and ``index``, when given) take the new values;
+    everything else goes on as it arrived, the blob without a copy.
+    When the received header leads with those keys, as every FRAME and
+    ERROR a gateway sends does, only their values are rewritten in its
+    raw bytes; any other header is decoded, given the new values in
+    their places, and re-encoded.
+    """
+    head = frame.head
+    leading = _LEADING_ID.match(head)
+    if leading is not None and index is not None:
+        leading = _NEXT_INDEX.match(head, leading.end())
+    if leading is not None:
+        ids = b'{"request_id":%d' % request_id
+        if index is not None:
+            ids += b',"index":%d' % index
+        head = ids + head[leading.end() :]
+    else:
+        header = {**frame.header, "request_id": request_id}
+        if index is not None:
+            header["index"] = index
+        head = _dumps(header).encode("utf-8")
+    return _frame_parts(frame.type, head, frame.blob)
 
 
 def decode_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":

@@ -731,12 +731,15 @@ class WireServer:
     async def _send(
         self,
         conn: _Connection,
-        payload: bytes,
-        *,
+        *parts: "bytes | memoryview",
         deadline: "float | None" = None,
         request_id: "int | None" = None,
     ) -> None:
         """Write one frame atomically (streams interleave on one socket).
+
+        ``parts`` are the frame's bytes in order: one buffer, or a head
+        and a blob (:func:`~repro.serve.protocol.result_frame_parts`),
+        which go to the transport without being joined.
 
         Frames of ``request_id`` wait for the connection's write lock in
         the request's arrival order (:class:`OldestFirstLock`); a frame
@@ -758,7 +761,8 @@ class WireServer:
         try:
             if self._closing:
                 raise ConnectionError(f"{self.role} is closing")
-            conn.writer.write(payload)
+            for part in parts:
+                conn.writer.write(part)
             await drain_within(conn.writer, timeout, "frame write")
         finally:
             conn.wlock.release()

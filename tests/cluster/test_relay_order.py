@@ -194,13 +194,13 @@ def test_router_relays_the_older_stream_first():
         relayed = []
         send = router._send
 
-        async def recording_send(conn, payload, **kwargs):
-            frame = protocol.read_frame_from(io.BytesIO(payload))
+        async def recording_send(conn, *parts, **kwargs):
+            frame = protocol.read_frame_from(io.BytesIO(b"".join(parts)))
             if frame.type is MessageType.FRAME:
                 relayed.append(
                     (frame.header["request_id"], frame.header["index"])
                 )
-            await send(conn, payload, **kwargs)
+            await send(conn, *parts, **kwargs)
 
         router._send = recording_send
         await router.start()
@@ -241,3 +241,118 @@ def test_router_relays_the_older_stream_first():
     assert relayed[:first_younger] == [
         (older, index) for index in range(first_younger)
     ]
+
+
+async def _read_raw(reader) -> bytes:
+    """One frame's bytes exactly as they crossed the socket."""
+    prefix = await reader.readexactly(4)
+    return prefix + await reader.readexactly(int.from_bytes(prefix, "big"))
+
+
+def test_relay_rewrites_only_the_ids():
+    """What the client receives is the backend's FRAME with only
+    ``request_id`` and ``index`` rewritten: the rest of the header and the
+    blob byte for byte.  The second frame's header has its keys in
+    another order than a gateway writes them, and relays as well."""
+    cloud = make_cloud(6, np.random.default_rng(5))
+    cameras = [Camera(width=4, height=3, fx=50.0 + i, fy=50.0) for i in range(2)]
+    result = _result(1)
+    reordered = {
+        "sha256": protocol.blob_digest(result.image.tobytes()),
+        "index": 1,
+        "image": {"dtype": result.image.dtype.str, "shape": [3, 4, 3]},
+        "stats": protocol.encode_stats(result.stats),
+        "backend": "b0",
+    }
+
+    def backend_frames(request_id):
+        reordered["request_id"] = request_id  # last, after every other key
+        return [
+            protocol.encode_result_frame(request_id, 0, _result(0), backend="b0"),
+            protocol.encode_frame(
+                MessageType.FRAME, reordered, result.image.tobytes()
+            ),
+        ]
+
+    async def backend(reader, writer):
+        writer.write(protocol.encode_frame(
+            MessageType.HELLO, {"version": 2, "max_pending": 64, "scenes": []}
+        ))
+        await writer.drain()
+        while (frame := await protocol.read_frame(reader)) is not None:
+            if frame.type is MessageType.SCENE:
+                pushed = protocol.decode_cloud(frame.header, frame.blob)
+                writer.write(protocol.encode_frame(
+                    MessageType.SCENE_OK, {"scene_id": cloud_fingerprint(pushed)}
+                ))
+            elif frame.type is MessageType.STREAM:
+                request_id = frame.header["request_id"]
+                for payload in backend_frames(request_id):
+                    writer.write(payload)
+                writer.write(protocol.encode_frame(
+                    MessageType.END, {"request_id": request_id, "frames": 2}
+                ))
+            await writer.drain()
+        writer.close()
+
+    async def main():
+        fake = await asyncio.start_server(backend, host="127.0.0.1", port=0)
+        port = fake.sockets[0].getsockname()[1]
+        router = ShardRouter(
+            ClusterMap([BackendSpec("b0", "127.0.0.1", port)], replication=1)
+        )
+        await router.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.tcp_port
+            )
+            try:
+                await protocol.client_hello(reader, writer, None)
+                header, blob = protocol.encode_cloud(cloud)
+                writer.write(protocol.encode_frame(MessageType.SCENE, header, blob))
+                scene_ok = await protocol.read_frame(reader)
+                writer.write(protocol.encode_frame(MessageType.STREAM, {
+                    "request_id": 41,
+                    "scene_id": scene_ok.header["scene_id"],
+                    "cameras": [protocol.encode_camera(c) for c in cameras],
+                }))
+                await writer.drain()
+                frames = [await _read_raw(reader) for _ in range(2)]
+                end = await protocol.read_frame(reader)
+            finally:
+                writer.close()
+            return frames, end
+        finally:
+            await router.close()
+            fake.close()
+            await fake.wait_closed()
+
+    (first, second), end = asyncio.run(main())
+    assert first == protocol.encode_result_frame(41, 0, _result(0), backend="b0")
+    assert second == protocol.encode_frame(
+        MessageType.FRAME,
+        {**reordered, "request_id": 41, "index": 1},
+        result.image.tobytes(),
+    )
+    assert end.header == {"request_id": 41, "frames": 2}
+
+
+@pytest.mark.parametrize("index", [None, 0, 7, 123456])
+def test_relay_parts_splices_what_re_encoding_would_write(index):
+    """The splice and the re-encode agree wherever both apply."""
+    for payload in (
+        protocol.encode_result_frame(
+            99, 3, _result(2), backend="b1", trace="t-1"
+        ),
+        protocol.encode_frame(
+            MessageType.ERROR, {"request_id": 99, "code": 404, "message": "x"}
+        ),
+    ):
+        frame = protocol.read_frame_from(io.BytesIO(payload))
+        header = {**frame.header, "request_id": 5}
+        if index is not None:
+            header["index"] = index
+        spliced = b"".join(protocol.relay_parts(frame, 5, index))
+        assert spliced == protocol.encode_frame(frame.type, header, frame.blob)
+        rebuilt = protocol.Frame(frame.type, frame.header, frame.blob)  # no head
+        assert b"".join(protocol.relay_parts(rebuilt, 5, index)) == spliced

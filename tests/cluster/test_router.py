@@ -13,7 +13,6 @@ localhost sockets (subprocess fleets are exercised in
 
 import asyncio
 import json
-import socket
 
 import numpy as np
 import pytest
@@ -203,52 +202,6 @@ class TestRouting:
         assert set(gateway["backends"]) == {"b0", "b1"}
         assert gateway["replication"] == 2
         assert all(entry["up"] for entry in gateway["backends"].values())
-
-    def test_link_receive_buffer_is_pinned_where_granted(
-        self, scene, renderer, monkeypatch
-    ):
-        """A backend link asks for a fixed receive buffer, so how much of
-        a cached stream fits between backend and router does not depend
-        on where autotuning stopped; where the kernel grants less than
-        asked, the socket is left to autotuning instead of pinned small."""
-        from repro.cluster import router as router_module
-
-        want = router_module.LINK_RCVBUF
-        with socket.socket() as probe:
-            default = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, want)
-            granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
-        cloud, cameras = scene
-
-        async def body(router, cluster_map, gateways, services):
-            client = await AsyncGatewayClient.connect(
-                "127.0.0.1", router.tcp_port
-            )
-            try:
-                await client.render_frame(cloud, cameras[0])
-            finally:
-                await client.close()
-            return [
-                link._writer.get_extra_info("socket").getsockopt(
-                    socket.SOL_SOCKET, socket.SO_RCVBUF
-                )
-                for link in router._links.values()
-                if link.connected
-            ]
-
-        sizes = run_cluster(renderer, body)
-        assert sizes
-        if granted >= want:
-            assert all(size == granted for size in sizes)
-        else:
-            assert all(size < want for size in sizes)
-
-        # Asking for more than any kernel grants changes nothing.
-        monkeypatch.setattr(router_module, "LINK_RCVBUF", 2**31 - 1)
-        with socket.socket() as sock:
-            router_module._pin_receive_buffer(sock)
-            assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) == default
-        router_module._pin_receive_buffer(None)  # a transport without one
 
 
 class TestFailover:
@@ -678,6 +631,69 @@ class TestRequestBudget:
         assert answer.header["request_id"] == 1
         assert answer.header["code"] == int(ErrorCode.DEADLINE_EXCEEDED)
         assert failovers == 0
+
+    def test_silent_scene_push_holds_back_only_the_scene(self, scene):
+        """A replica that takes SCENE and never answers delays only the
+        SCENE's own answer: a malformed RENDER sent right behind it on
+        the same connection is answered 400 first, and the SCENE's 503
+        follows when the push gives up at ``request_timeout``."""
+        cloud, _ = scene
+
+        async def silent_scene(reader, writer):
+            writer.write(protocol.encode_frame(
+                MessageType.HELLO, {"version": protocol.PROTOCOL_VERSION}
+            ))
+            await writer.drain()
+            await reader.read()  # takes SCENE (and the rest), answers nothing
+            writer.close()
+
+        async def main():
+            backend = await asyncio.start_server(
+                silent_scene, host="127.0.0.1", port=0
+            )
+            port = backend.sockets[0].getsockname()[1]
+            cluster_map = ClusterMap(
+                [BackendSpec("b0", "127.0.0.1", port)], replication=1
+            )
+            router = ShardRouter(
+                cluster_map,
+                monitor=HealthMonitor(cluster_map),  # never probes: b0 is up
+                request_timeout=2.0,
+            )
+            await router.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.tcp_port
+                )
+                try:
+                    await protocol.client_hello(reader, writer, None)
+                    header, blob = protocol.encode_cloud(cloud)
+                    writer.write(protocol.encode_frame(
+                        MessageType.SCENE, header, blob
+                    ))
+                    writer.write(protocol.encode_frame(
+                        MessageType.RENDER, {"request_id": "one"}
+                    ))
+                    await writer.drain()
+                    # Hang guards only; the assertion is on the order.
+                    first = await asyncio.wait_for(protocol.read_frame(reader), 30)
+                    second = await asyncio.wait_for(protocol.read_frame(reader), 30)
+                finally:
+                    writer.close()
+                return first, second
+            finally:
+                await router.close()
+                backend.close()
+                await backend.wait_closed()
+
+        first, second = asyncio.run(main())
+        assert first.type is second.type is MessageType.ERROR
+        assert (first.header["request_id"], first.header["code"]) == (
+            "one", int(ErrorCode.BAD_REQUEST)
+        )
+        assert (second.header["request_id"], second.header["code"]) == (
+            None, int(ErrorCode.SHUTTING_DOWN)
+        )
 
 
 class TestAdmissionAndErrors:

@@ -2,7 +2,8 @@
 
 A top-level function or class, or a method of a top-level class (dunders
 excluded), is *unreached* when its name appears nowhere in ``src/repro``
-outside its own body.  A name counts as used when it appears as an
+outside its own body.  A method that overrides one of an ``asyncio``
+base class (a protocol callback) is reached: the event loop calls it.  A name counts as used when it appears as an
 ``ast.Name``, an attribute, an import alias or an identifier-shaped
 string constant (``getattr`` targets, ``__all__`` entries).  Uses inside
 ``__init__.py`` files do not count: a re-export alone reaches nothing.
@@ -22,6 +23,7 @@ that is now reached or no longer exists, so the list can only shrink.
 """
 
 import ast
+import asyncio
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -30,14 +32,29 @@ CATEGORIES = {"b", "c", "d", "pending"}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _asyncio_methods(node: ast.ClassDef) -> "set[str]":
+    """Names defined by the class's ``asyncio.…`` bases."""
+    names: "set[str]" = set()
+    for base in node.bases:
+        first, *rest = ast.unparse(base).split(".")
+        if first == "asyncio":
+            found = asyncio
+            for part in rest:
+                found = getattr(found, part)
+            names.update(dir(found))
+    return names
+
+
 def _definitions(tree: ast.Module):
-    """``(qualified name, node)`` of top-level defs and their methods."""
+    """``(qualified name, node)`` of top-level defs and their methods,
+    less the callbacks the event loop calls."""
     for node in tree.body:
         if isinstance(node, _DEFS):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
+                callbacks = _asyncio_methods(node)
                 for item in node.body:
-                    if isinstance(item, _DEFS):
+                    if isinstance(item, _DEFS) and item.name not in callbacks:
                         yield f"{node.name}.{item.name}", item
 
 
