@@ -30,10 +30,11 @@ Between the two sits the routing decision:
   backend mid-stream and bit-verifies the result).
 
 Relayed frames are **bit-identical end to end**: the router reads a
-frame's JSON header to route it, and forwards the frame as it arrived
-with only ``request_id``/``index`` rewritten in the header's raw bytes
-(:func:`repro.serve.protocol.relay_parts`).  A FRAME's blob is received
-into a buffer of its own by the link's
+frame's JSON header to route it, and forwards the frame with only
+``request_id``/``index`` given new values in that header, re-encoded
+in the wire's JSON dialect (:func:`repro.serve.protocol.relay_parts`),
+so every other header byte comes out as it arrived.  A FRAME's blob
+is received into a buffer of its own by the link's
 :class:`~repro.serve.protocol.FrameReader` and written to the client
 from there, never copied or re-encoded.  What the client receives is
 byte-for-byte what a single gateway would have sent.  The invariant is
@@ -840,15 +841,30 @@ class ShardRouter(WireServer):
         routed to.  With no replica placed the answer is a 503.
         """
         placed = 0
-        for spec in self.topology.replicas(scene_id):
-            if not self.health.is_up(spec.backend_id):
-                continue
-            link = self._link(spec)
-            try:
-                await link.push_scene(scene_id, self._scene_frames[scene_id])
-                placed += 1
-            except (LinkLostError, ProtocolError) as exc:
-                self.health.report_failure(spec.backend_id, error=str(exc))
+        try:
+            for spec in self.topology.replicas(scene_id):
+                if not self.health.is_up(spec.backend_id):
+                    continue
+                link = self._link(spec)
+                try:
+                    await link.push_scene(
+                        scene_id, self._scene_frames[scene_id]
+                    )
+                    placed += 1
+                except (LinkLostError, ProtocolError) as exc:
+                    self.health.report_failure(spec.backend_id, error=str(exc))
+        except Exception as exc:
+            # Defense in depth (the dispatch loop's rule): nobody awaits
+            # this task, so a failure not answered here would leave the
+            # client waiting for its SCENE's reply forever.
+            self.stats.errors += 1
+            await self._send_error(
+                conn,
+                None,
+                ErrorCode.INTERNAL,
+                f"internal scene replication failure: {exc}",
+            )
+            return
         if placed == 0:
             self.stats.errors += 1
             await self._send_error(

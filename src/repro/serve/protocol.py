@@ -105,7 +105,6 @@ import asyncio
 import hashlib
 import json
 import os
-import re
 import struct
 import threading
 import time
@@ -220,9 +219,6 @@ class Frame:
     digest: "Future[str] | None" = field(
         default=None, repr=False, compare=False
     )
-    #: The header's JSON bytes as received (empty on a frame built in
-    #: memory); :func:`relay_parts` splices them.
-    head: bytes = field(default=b"", repr=False, compare=False)
 
 
 def encode_frame(
@@ -273,20 +269,18 @@ def _parse_payload(payload: "bytes | bytearray") -> Frame:
         msg_type = MessageType(type_byte)
     except ValueError as exc:
         raise ProtocolError(f"unknown message type {type_byte}") from exc
-    head = bytes(payload[_HEAD.size : _HEAD.size + header_len])
+    header_bytes = payload[_HEAD.size : _HEAD.size + header_len]
     try:
-        header = json.loads(head.decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
     blob = memoryview(payload).toreadonly()[_HEAD.size + header_len :]
-    return Frame(type=msg_type, header=header, blob=blob, head=head)
+    return Frame(type=msg_type, header=header, blob=blob)
 
 
-async def read_frame(
-    reader, *, max_frame: int = MAX_FRAME_BYTES
-) -> "Frame | None":
+async def read_frame(reader) -> "Frame | None":
     """Read one frame from an :class:`asyncio.StreamReader`.
 
     Returns ``None`` on a clean EOF at a frame boundary.  Raises
@@ -294,8 +288,7 @@ async def read_frame(
     itself is corrupt (oversized length, EOF mid-frame) and with
     ``fatal=False`` when the frame was read whole but its contents are
     malformed — the caller may answer with an ERROR frame and continue.
-    A :class:`FrameReader` gives the same answers, under the
-    ``max_frame`` it was built with.
+    A :class:`FrameReader` gives the same answers.
     """
     if isinstance(reader, FrameReader):
         return await reader.read()
@@ -308,13 +301,7 @@ async def read_frame(
             "EOF inside a frame length prefix", fatal=True
         ) from exc
     (payload_len,) = _PREFIX.unpack(prefix)
-    if payload_len > max_frame:
-        raise ProtocolError(
-            f"declared frame length {payload_len} exceeds the {max_frame}-byte "
-            "bound",
-            code=ErrorCode.FRAME_TOO_LARGE,
-            fatal=True,
-        )
+    _check_length(payload_len)
     try:
         payload = await reader.readexactly(payload_len)
     except EOFError as exc:  # asyncio.IncompleteReadError subclasses EOFError
@@ -322,7 +309,7 @@ async def read_frame(
     return _parse_payload(payload)
 
 
-def read_frame_from(stream, *, max_frame: int = MAX_FRAME_BYTES) -> "Frame | None":
+def read_frame_from(stream) -> "Frame | None":
     """Blocking :func:`read_frame` over a file-like byte stream.
 
     ``stream`` is anything with a ``read(n)`` returning up to ``n`` bytes
@@ -333,15 +320,21 @@ def read_frame_from(stream, *, max_frame: int = MAX_FRAME_BYTES) -> "Frame | Non
     if prefix is None:
         return None
     (payload_len,) = _PREFIX.unpack(prefix)
-    if payload_len > max_frame:
+    _check_length(payload_len)
+    payload = _read_exact(stream, payload_len)
+    return _parse_payload(payload)
+
+
+def _check_length(payload_len: int) -> None:
+    """Refuse a declared payload length above ``MAX_FRAME_BYTES`` (a
+    fatal 413: the stream's framing can no longer be trusted)."""
+    if payload_len > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"declared frame length {payload_len} exceeds the {max_frame}-byte "
-            "bound",
+            f"declared frame length {payload_len} exceeds the "
+            f"{MAX_FRAME_BYTES}-byte bound",
             code=ErrorCode.FRAME_TOO_LARGE,
             fatal=True,
         )
-    payload = _read_exact(stream, payload_len)
-    return _parse_payload(payload)
 
 
 def _read_exact(stream, n: int, *, allow_eof: bool = False) -> "bytes | None":
@@ -376,10 +369,10 @@ class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
     into a ``bytearray`` of exactly its size.
 
     Bytes arrive in a small staging buffer until a length prefix is
-    whole.  The prefix is checked against ``max_frame`` before anything
-    is allocated; then the payload's buffer is allocated, the part of it
-    already staged is copied in, and the socket receives the rest
-    straight into it (``recv_into``).  A 400 KB FRAME is never copied
+    whole.  The prefix is checked against ``MAX_FRAME_BYTES`` before
+    anything is allocated; then the payload's buffer is allocated, the
+    part of it already staged is copied in, and the socket receives the
+    rest straight into it (``recv_into``).  A 400 KB FRAME is never copied
     whole, and its blob is a view of that buffer (:func:`_parse_payload`).
 
     :meth:`read` gives what :func:`read_frame` gives over a
@@ -387,7 +380,7 @@ class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
     :class:`ProtocolError` on EOF inside a prefix or payload or on an
     oversized prefix, a recoverable one for a malformed payload.  Frames
     that arrived before the peer closed (or before a fatal error) are
-    read first.  Past ``read_ahead`` bytes of unread frames, the socket
+    read first.  Past ``READ_LIMIT`` bytes of unread frames, the socket
     is no longer read until the reader catches up.
 
     The write side is asyncio's: pair it with a :class:`asyncio.
@@ -395,16 +388,8 @@ class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
     on this protocol's flow control.
     """
 
-    def __init__(
-        self,
-        *,
-        max_frame: int = MAX_FRAME_BYTES,
-        read_ahead: int = READ_LIMIT,
-        loop=None,
-    ) -> None:
+    def __init__(self, *, loop=None) -> None:
         super().__init__(loop=loop)
-        self._max_frame = max_frame
-        self._read_ahead = read_ahead
         self._stage = bytearray(_STAGE_BYTES)
         self._staged = 0  # bytes in _stage: less than one length prefix
         # The unfilled part of the payload arriving (a view of it).
@@ -442,13 +427,10 @@ class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
         start = 0
         while end - start >= _PREFIX.size:
             (size,) = _PREFIX.unpack_from(stage, start)
-            if size > self._max_frame:
-                self._fail(ProtocolError(
-                    f"declared frame length {size} exceeds the "
-                    f"{self._max_frame}-byte bound",
-                    code=ErrorCode.FRAME_TOO_LARGE,
-                    fatal=True,
-                ))
+            try:
+                _check_length(size)
+            except ProtocolError as exc:
+                self._fail(exc)
                 return
             start += _PREFIX.size
             staged = min(size, end - start)
@@ -492,7 +474,7 @@ class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
     def _arrived(self, payload: bytearray) -> None:
         self._frames.append(payload)
         self._unread += len(payload)
-        if self._unread > self._read_ahead and self._reading:
+        if self._unread > READ_LIMIT and self._reading:
             self._reading = False
             self._transport.pause_reading()
         self._wake()
@@ -530,7 +512,7 @@ class FrameReader(asyncio.streams.FlowControlMixin, asyncio.BufferedProtocol):
                 self._waiter = None
         payload = self._frames.popleft()
         self._unread -= len(payload)
-        if not self._reading and self._unread <= self._read_ahead:
+        if not self._reading and self._unread <= READ_LIMIT:
             self._reading = True
             if self._transport is not None:
                 self._transport.resume_reading()
@@ -1097,39 +1079,20 @@ def result_frame_parts(
     )
 
 
-#: A header's leading ``request_id``, and an ``index`` right behind it,
-#: as :func:`result_frame_parts` and every other encoder here write them.
-_LEADING_ID = re.compile(rb'\{"request_id":-?\d+(?=[,}])')
-_NEXT_INDEX = re.compile(rb',"index":-?\d+(?=[,}])')
-
-
 def relay_parts(
     frame: Frame, request_id: int, index: "int | None" = None
 ) -> "tuple[bytes, bytes | memoryview]":
     """A received frame re-addressed for the next hop, as two buffers.
 
-    ``request_id`` (and ``index``, when given) take the new values;
-    everything else goes on as it arrived, the blob without a copy.
-    When the received header leads with those keys, as every FRAME and
-    ERROR a gateway sends does, only their values are rewritten in its
-    raw bytes; any other header is decoded, given the new values in
-    their places, and re-encoded.
+    ``request_id`` (and ``index``, when given) take the new values in
+    their places in the decoded header, which is re-encoded: for a
+    header the wire's JSON dialect wrote, everything else comes out as
+    it arrived.  The blob goes on without a copy.
     """
-    head = frame.head
-    leading = _LEADING_ID.match(head)
-    if leading is not None and index is not None:
-        leading = _NEXT_INDEX.match(head, leading.end())
-    if leading is not None:
-        ids = b'{"request_id":%d' % request_id
-        if index is not None:
-            ids += b',"index":%d' % index
-        head = ids + head[leading.end() :]
-    else:
-        header = {**frame.header, "request_id": request_id}
-        if index is not None:
-            header["index"] = index
-        head = _dumps(header).encode("utf-8")
-    return _frame_parts(frame.type, head, frame.blob)
+    header = {**frame.header, "request_id": request_id}
+    if index is not None:
+        header["index"] = index
+    return _frame_parts(frame.type, _dumps(header).encode("utf-8"), frame.blob)
 
 
 def decode_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":

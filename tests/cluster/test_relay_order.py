@@ -336,23 +336,3 @@ def test_relay_rewrites_only_the_ids():
     )
     assert end.header == {"request_id": 41, "frames": 2}
 
-
-@pytest.mark.parametrize("index", [None, 0, 7, 123456])
-def test_relay_parts_splices_what_re_encoding_would_write(index):
-    """The splice and the re-encode agree wherever both apply."""
-    for payload in (
-        protocol.encode_result_frame(
-            99, 3, _result(2), backend="b1", trace="t-1"
-        ),
-        protocol.encode_frame(
-            MessageType.ERROR, {"request_id": 99, "code": 404, "message": "x"}
-        ),
-    ):
-        frame = protocol.read_frame_from(io.BytesIO(payload))
-        header = {**frame.header, "request_id": 5}
-        if index is not None:
-            header["index"] = index
-        spliced = b"".join(protocol.relay_parts(frame, 5, index))
-        assert spliced == protocol.encode_frame(frame.type, header, frame.blob)
-        rebuilt = protocol.Frame(frame.type, frame.header, frame.blob)  # no head
-        assert b"".join(protocol.relay_parts(rebuilt, 5, index)) == spliced

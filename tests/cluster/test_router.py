@@ -695,6 +695,53 @@ class TestRequestBudget:
             None, int(ErrorCode.SHUTTING_DOWN)
         )
 
+    def test_unexpected_replication_failure_answers_the_scene(
+        self, scene, monkeypatch
+    ):
+        """An exception the replication task does not expect still
+        answers the SCENE, with a 500, instead of leaving the client
+        waiting for a reply that never comes."""
+        from repro.cluster.router import BackendLink
+
+        async def broken_push(self, scene_id, payload):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(BackendLink, "push_scene", broken_push)
+        cloud, _ = scene
+
+        async def main():
+            cluster_map = ClusterMap(
+                [BackendSpec("b0", "127.0.0.1", 9)], replication=1
+            )
+            router = ShardRouter(
+                cluster_map,
+                monitor=HealthMonitor(cluster_map),  # never probes: b0 is up
+            )
+            await router.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.tcp_port
+                )
+                try:
+                    await protocol.client_hello(reader, writer, None)
+                    header, blob = protocol.encode_cloud(cloud)
+                    writer.write(protocol.encode_frame(
+                        MessageType.SCENE, header, blob
+                    ))
+                    await writer.drain()
+                    # A hang guard only: without the answer this times out.
+                    return await asyncio.wait_for(protocol.read_frame(reader), 30)
+                finally:
+                    writer.close()
+            finally:
+                await router.close()
+
+        answer = asyncio.run(main())
+        assert answer.type is MessageType.ERROR
+        assert answer.header["request_id"] is None
+        assert answer.header["code"] == int(ErrorCode.INTERNAL)
+        assert "boom" in answer.header["message"]
+
 
 class TestAdmissionAndErrors:
     def test_router_admission_429(self, scene, renderer):

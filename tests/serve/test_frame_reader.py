@@ -80,12 +80,12 @@ def reference(data: bytes) -> list:
     return outcomes(lambda: read_frame_from(stream))
 
 
-def received(data: bytes, sizes, *, half_close=True, **options) -> list:
+def received(data: bytes, sizes, *, half_close=True) -> list:
     """What a FrameReader yields for ``data``, received in ``sizes``,
     after the peer half-closes (or the connection ends cleanly)."""
 
     async def main():
-        reader = FrameReader(loop=asyncio.get_running_loop(), **options)
+        reader = FrameReader(loop=asyncio.get_running_loop())
         reader.connection_made(FakeTransport())
         deliver(reader, data, sizes)
         if half_close:
@@ -117,6 +117,17 @@ def _result_frame(seed: int) -> bytes:
         image=image, stats=RenderStats(), projected=None, assignment=None
     )
     return protocol.encode_result_frame(seed, seed % 3, result, backend="b0")
+
+
+def _big_frame() -> bytes:
+    """A FRAME of some 300 KB, several times the staging buffer."""
+    from repro.raster.renderer import RenderResult
+    from repro.raster.stats import RenderStats
+
+    image = np.random.default_rng(9).random((160, 160, 3)).astype(np.float32)
+    return protocol.encode_result_frame(
+        2, 0, RenderResult(image, RenderStats(), None, None)
+    )
 
 
 def _scene_frame() -> bytes:
@@ -201,14 +212,14 @@ def test_frames_sent_before_a_reset_stay_readable(data, sizes):
 
 @pytest.mark.parametrize("sizes", [[1], [3], [1 << 20]])
 def test_oversized_length_fails_before_allocating(sizes):
-    """A declared length above ``max_frame`` is a fatal 413 raised on
-    the prefix alone, after the frames before it, with no buffer of that
-    size allocated."""
+    """A declared length above ``MAX_FRAME_BYTES`` is a fatal 413 raised
+    on the prefix alone, after the frames before it, with no buffer of
+    that size allocated."""
     before = protocol.encode_frame(MessageType.SCENE_OK, {"scene_id": "x"})
-    data = before + struct.pack("!I", 64 << 20) + b"\0" * 16
+    data = before + struct.pack("!I", protocol.MAX_FRAME_BYTES + 1) + b"\0" * 16
     tracemalloc.start()
     try:
-        seen = received(data, sizes, max_frame=1 << 16)
+        seen = received(data, sizes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,17 +231,16 @@ def test_oversized_length_fails_before_allocating(sizes):
 
 
 def test_read_ahead_pauses_and_resumes_the_transport():
-    """Past ``read_ahead`` bytes of unread frames the socket is not
+    """Past ``READ_LIMIT`` bytes of unread frames the socket is not
     read; taking frames below it reads again."""
-    frame = _result_frame(1)
+    frame = _big_frame()
+    below = protocol.READ_LIMIT // len(frame)  # whole frames within it
 
     async def main():
-        reader = FrameReader(
-            loop=asyncio.get_running_loop(), read_ahead=2 * len(frame)
-        )
+        reader = FrameReader(loop=asyncio.get_running_loop())
         transport = FakeTransport()
         reader.connection_made(transport)
-        deliver(reader, frame * 2, [len(frame)])
+        deliver(reader, frame * below, [len(frame)])
         assert transport.reading
         deliver(reader, frame, [len(frame)])
         assert not transport.reading
@@ -262,13 +272,7 @@ def test_frames_larger_than_the_staging_buffer(sizes):
     """A FRAME of some 300 KB, between small frames: the part of it that
     was staged with its prefix is copied over, the rest received in
     place."""
-    from repro.raster.renderer import RenderResult
-    from repro.raster.stats import RenderStats
-
-    image = np.random.default_rng(9).random((160, 160, 3)).astype(np.float32)
-    big = protocol.encode_result_frame(
-        2, 0, RenderResult(image, RenderStats(), None, None)
-    )
+    big = _big_frame()
     small = protocol.encode_frame(MessageType.END, {"request_id": 2, "frames": 1})
     data = small + big + small + big
     assert received(data, sizes) == reference(data)
