@@ -11,8 +11,8 @@ Redundant Sorting while Preserving Rasterization Efficiency" (DAC 2025):
 * ``repro.core``      -- the GS-TG pipeline (grouping, bitmasks, group-wise
   sorting, tile-wise rasterization),
 * ``repro.engine``    -- the vectorized batch render engine (segmented
-  sorting, fused tile blending, multi-camera trajectories with worker
-  pools and shared projection caching),
+  sorting, fused tile blending, multi-camera trajectories on the one
+  render pool, projection caching for serial renders),
 * ``repro.scenes``    -- Table II dataset registry and synthetic scenes,
 * ``repro.analysis``  -- profiling statistics and the GPU timing model,
 * ``repro.hardware``  -- the cycle-level accelerator simulator, the GSCore

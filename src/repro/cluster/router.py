@@ -838,21 +838,34 @@ class ShardRouter(WireServer):
 
         Eager placement keeps failover targets warm; a backend that
         cannot be reached now gets the payload lazily when it is first
-        routed to.  With no replica placed the answer is a 503.
+        routed to.  The pushes run concurrently, so a silent replica
+        delays the answer, not the other replicas' copies.  With no
+        replica placed the answer is a 503.
         """
-        placed = 0
+
+        async def place(spec: BackendSpec) -> bool:
+            try:
+                await self._link(spec).push_scene(
+                    scene_id, self._scene_frames[scene_id]
+                )
+            except (LinkLostError, ProtocolError) as exc:
+                self.health.report_failure(spec.backend_id, error=str(exc))
+                return False
+            return True
+
         try:
-            for spec in self.topology.replicas(scene_id):
-                if not self.health.is_up(spec.backend_id):
-                    continue
-                link = self._link(spec)
-                try:
-                    await link.push_scene(
-                        scene_id, self._scene_frames[scene_id]
-                    )
-                    placed += 1
-                except (LinkLostError, ProtocolError) as exc:
-                    self.health.report_failure(spec.backend_id, error=str(exc))
+            outcomes = await asyncio.gather(
+                *(
+                    place(spec)
+                    for spec in self.topology.replicas(scene_id)
+                    if self.health.is_up(spec.backend_id)
+                ),
+                return_exceptions=True,
+            )
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
+            placed = sum(outcomes)
         except Exception as exc:
             # Defense in depth (the dispatch loop's rule): nobody awaits
             # this task, so a failure not answered here would leave the

@@ -56,12 +56,6 @@ class BitmaskTable:
     def __len__(self) -> int:
         return self.masks.shape[0]
 
-    def nonempty_fraction(self) -> float:
-        """Fraction of pairs whose mask has at least one bit set."""
-        if len(self) == 0:
-            return 0.0
-        return float(np.count_nonzero(self.masks) / len(self))
-
 
 def popcount(masks: np.ndarray) -> np.ndarray:
     """Number of set bits per mask word (vectorised)."""

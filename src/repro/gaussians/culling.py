@@ -50,19 +50,14 @@ class CullingResult:
     num_frustum_culled: int
     num_opacity_culled: int
 
-    @property
-    def num_visible(self) -> int:
-        """Number of Gaussians that survived all tests."""
-        return int(np.count_nonzero(self.visible))
-
 
 def cull(cloud: GaussianCloud, camera: Camera) -> CullingResult:
     """Classify each Gaussian as visible or culled for ``camera``.
 
     The three tests are applied in pipeline order (depth, frustum,
     opacity); each counter records Gaussians rejected by that test after
-    surviving the previous ones, so the counters sum with ``num_visible``
-    to ``num_input``.
+    surviving the previous ones, so the counters and the number of
+    ``visible`` entries sum to ``num_input``.
     """
     points_cam = camera.world_to_camera(cloud.positions)
     depths = points_cam[:, 2]

@@ -33,12 +33,6 @@ class ViewSet:
     test_indices: "tuple[int, ...]"
 
     @property
-    def train_indices(self) -> "tuple[int, ...]":
-        """Complement of the test indices."""
-        test = set(self.test_indices)
-        return tuple(i for i in range(len(self.cameras)) if i not in test)
-
-    @property
     def test_cameras(self) -> "tuple[Camera, ...]":
         """The held-out evaluation views."""
         return tuple(self.cameras[i] for i in self.test_indices)

@@ -11,7 +11,6 @@ from repro.tiles.boundary import (
     gaussian_rect_hits,
     obb_half_extents,
 )
-from repro.tiles.fast import identify_tiles_aabb_fast
 from repro.tiles.grid import TileGrid
 from repro.tiles.identify import TileAssignment, identify_tiles
 
@@ -21,6 +20,5 @@ __all__ = [
     "TileGrid",
     "gaussian_rect_hits",
     "identify_tiles",
-    "identify_tiles_aabb_fast",
     "obb_half_extents",
 ]

@@ -22,17 +22,6 @@ from repro.tiles.grid import TileGrid
 from repro.tiles.identify import TileAssignment
 
 
-def identify_tiles_aabb_fast(
-    proj: ProjectedGaussians, grid: TileGrid
-) -> TileAssignment:
-    """Vectorised equivalent of ``identify_tiles(proj, grid, AABB)``.
-
-    Kept as the established entry point for AABB-only callers; shares
-    the generic :func:`identify_tiles_fast` machinery.
-    """
-    return identify_tiles_fast(proj, grid, BoundaryMethod.AABB)
-
-
 def _expand_candidates(
     grid: TileGrid, rects: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":

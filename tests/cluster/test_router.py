@@ -695,6 +695,102 @@ class TestRequestBudget:
             None, int(ErrorCode.SHUTTING_DOWN)
         )
 
+    def test_silent_replica_does_not_hold_back_the_next_one(self, scene):
+        """SCENE replication pushes to the replicas concurrently: with a
+        silent replica ranked first and a 600 s ``request_timeout``, the
+        healthy replica ranked second gets the SCENE while the silent
+        push is still outstanding, and SCENE_OK follows once the silent
+        push fails (which marks that backend down)."""
+        cloud, _ = scene
+        scene_id = cloud_fingerprint(cloud)
+
+        async def main():
+            received = {"silent": asyncio.Event(), "healthy": asyncio.Event()}
+            release_silent = asyncio.Event()
+
+            async def silent(reader, writer):
+                writer.write(protocol.encode_frame(
+                    MessageType.HELLO, {"version": protocol.PROTOCOL_VERSION}
+                ))
+                await writer.drain()
+                await protocol.read_frame(reader)  # SCENE, never answered
+                received["silent"].set()
+                await release_silent.wait()
+                writer.close()
+
+            async def healthy(reader, writer):
+                writer.write(protocol.encode_frame(
+                    MessageType.HELLO, {"version": protocol.PROTOCOL_VERSION}
+                ))
+                await writer.drain()
+                await protocol.read_frame(reader)  # SCENE
+                received["healthy"].set()
+                writer.write(protocol.encode_frame(
+                    MessageType.SCENE_OK, {"scene_id": scene_id}
+                ))
+                await writer.drain()
+                await reader.read()
+                writer.close()
+
+            servers = {
+                "silent": await asyncio.start_server(silent, "127.0.0.1", 0),
+                "healthy": await asyncio.start_server(healthy, "127.0.0.1", 0),
+            }
+            ranked = [
+                spec.backend_id
+                for spec in ClusterMap(
+                    [BackendSpec("b0", "127.0.0.1", 1),
+                     BackendSpec("b1", "127.0.0.1", 1)],
+                    replication=2,
+                ).replicas(scene_id)
+            ]
+            cluster_map = ClusterMap(
+                [
+                    BackendSpec(
+                        backend_id, "127.0.0.1",
+                        servers[role].sockets[0].getsockname()[1],
+                    )
+                    for backend_id, role in zip(ranked, ("silent", "healthy"))
+                ],
+                replication=2,
+            )
+            monitor = HealthMonitor(cluster_map, down_after=1)  # never probes
+            router = ShardRouter(
+                cluster_map, monitor=monitor, request_timeout=600
+            )
+            await router.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.tcp_port
+                )
+                try:
+                    await protocol.client_hello(reader, writer, None)
+                    header, blob = protocol.encode_cloud(cloud)
+                    writer.write(protocol.encode_frame(
+                        MessageType.SCENE, header, blob
+                    ))
+                    await writer.drain()
+                    # Hang guards only; the assertions are on the order.
+                    await asyncio.wait_for(received["healthy"].wait(), 30)
+                    await asyncio.wait_for(received["silent"].wait(), 30)
+                    outstanding = len(router._replicating)
+                    release_silent.set()
+                    answer = await asyncio.wait_for(protocol.read_frame(reader), 30)
+                finally:
+                    writer.close()
+                return outstanding, answer, monitor.is_up(ranked[0])
+            finally:
+                await router.close()
+                for server in servers.values():
+                    server.close()
+                    await server.wait_closed()
+
+        outstanding, answer, silent_up = asyncio.run(main())
+        assert outstanding == 1
+        assert answer.type is MessageType.SCENE_OK
+        assert answer.header["scene_id"] == scene_id
+        assert not silent_up
+
     def test_unexpected_replication_failure_answers_the_scene(
         self, scene, monkeypatch
     ):

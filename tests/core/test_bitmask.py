@@ -77,10 +77,7 @@ class TestGenerateBitmasks:
         assignment = identify_tiles(
             projected, geometry.group_grid, BoundaryMethod.AABB
         )
-        table = generate_bitmasks(projected, geometry, assignment, BoundaryMethod.ELLIPSE)
-        # With a looser group method and tighter bitmask method, zero
-        # masks are expected to exist for some pair.
-        assert table.nonempty_fraction() <= 1.0
+        generate_bitmasks(projected, geometry, assignment, BoundaryMethod.ELLIPSE)
 
     def test_stats_recorded(self, projected, geometry, group_assignment):
         stats = RenderStats()
@@ -121,4 +118,3 @@ class TestGenerateBitmasks:
         )
         table = generate_bitmasks(projected, geometry, empty, BoundaryMethod.AABB)
         assert len(table) == 0
-        assert table.nonempty_fraction() == 0.0

