@@ -104,6 +104,16 @@ from repro.cluster.health import HealthMonitor
 from repro.cluster.topology import BackendSpec, ClusterMap
 
 
+def _add_numbers(totals: dict, counts: dict, keys=None) -> None:
+    """Add each number in ``counts`` (of ``keys``, absent ones as 0; by
+    default all of them) into ``totals``; bools and non-numbers are
+    skipped."""
+    for key in counts if keys is None else keys:
+        value = counts.get(key, 0)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            totals[key] = totals.get(key, 0) + value
+
+
 class LinkLostError(ConnectionError):
     """A backend connection died under an in-flight request."""
 
@@ -294,20 +304,17 @@ class BackendLink:
                 if frame is None:
                     break
                 request_id = frame.header.get("request_id")
-                queue = self._queues.get(request_id)
+                queue = self._queues.get(request_id) if type(request_id) is int else None
                 if queue is not None:
                     if frame.type is MessageType.FRAME:
                         # Hashed on the digest thread while the relay
                         # forwards the frames queued before this one.
                         protocol.start_digest(frame)
                     queue.put_nowait(frame)
-                elif request_id is None and frame.type in (
-                    MessageType.SCENE_OK,
-                    MessageType.STATS_OK,
-                    MessageType.ERROR,
-                ):
+                elif request_id is None and frame.type in protocol.CONTROL_REPLIES:
                     control.put_nowait(frame)
-                # Frames for abandoned requests: drop.
+                # Frames for abandoned requests, or with an id that is
+                # not an integer (it names no request): drop.
         except (ProtocolError, ConnectionError, OSError):
             pass
         finally:
@@ -454,12 +461,7 @@ class BackendLink:
                 f"backend {self.spec.backend_id} dropped the connection"
             )
         if frame.type is MessageType.ERROR:
-            raise ProtocolError(
-                str(frame.header.get("message", "backend error")),
-                code=ErrorCode(
-                    int(frame.header.get("code", ErrorCode.INTERNAL))
-                ),
-            )
+            raise protocol.error_fields(frame)
         if frame.type is not expected:
             raise ProtocolError(
                 f"backend {self.spec.backend_id} answered "
@@ -897,28 +899,9 @@ class ShardRouter(WireServer):
         except (ConnectionError, OSError):
             pass  # the client went away; the scene stays placed
 
-    def _fulfil(
-        self, conn, request_id, frame, request_class, deadline, trace,
-        client_trace,
-    ):
-        """Check the scene id and camera(s) only: the backend decodes."""
-        header = frame.header
-        scene_id = header.get("scene_id")
-        if not isinstance(scene_id, str):
-            raise ProtocolError("scene_id must be a string")
-        stream = frame.type is MessageType.STREAM
-        if stream:
-            cameras = header.get("cameras")
-            if not isinstance(cameras, list) or not cameras:
-                raise ProtocolError("STREAM needs a non-empty camera list")
-        else:
-            cameras = header.get("camera")
-            if not isinstance(cameras, dict):
-                raise ProtocolError("RENDER needs a camera object")
-        return self._route(
-            conn, request_id, scene_id, cameras, request_class, deadline,
-            trace, client_trace, stream=stream,
-        )
+    def _fulfil(self, conn, request):
+        """Route the request: the backend looks the scene up and decodes."""
+        return self._route(conn, request)
 
     async def _no_replica(self, conn: _Connection, request_id: int) -> None:
         """Answer the no-replica-up condition: an immediate 503."""
@@ -931,19 +914,7 @@ class ShardRouter(WireServer):
             "no replica is up for this scene",
         )
 
-    async def _route(
-        self,
-        conn: _Connection,
-        request_id: int,
-        scene_id: str,
-        cameras,
-        request_class: str,
-        deadline: "float | None",
-        trace: "str | None",
-        client_trace: "str | None",
-        *,
-        stream: bool,
-    ) -> None:
+    async def _route(self, conn: _Connection, request: protocol.Request) -> None:
         """Relay one RENDER or STREAM inside its ``route`` span.
 
         The span records every backend tried and the failover count,
@@ -953,23 +924,20 @@ class ShardRouter(WireServer):
         tried: "list[str]" = []
         route_start = self.tracer.now() if self.tracer.enabled else 0.0
         try:
-            await self._relay_with_failover(
-                conn, request_id, scene_id, cameras, request_class,
-                deadline, client_trace, excluded, tried, stream,
-            )
+            await self._relay_with_failover(conn, request, excluded, tried)
         finally:
             if self.tracer.enabled:
                 attrs = {
-                    "scene": scene_id,
-                    "class": request_class,
+                    "scene": request.scene_id,
+                    "class": request.request_class,
                     "backends": tried,
                     "failovers": len(excluded),
                 }
-                if stream:
+                if request.stream:
                     attrs["stream"] = True
                 self.tracer.record(
                     "route",
-                    trace=trace,
+                    trace=request.span_trace,
                     start=route_start,
                     end=self.tracer.now(),
                     attrs=attrs,
@@ -978,15 +946,9 @@ class ShardRouter(WireServer):
     async def _relay_with_failover(
         self,
         conn: _Connection,
-        request_id: int,
-        scene_id: str,
-        cameras,
-        request_class: str,
-        deadline: "float | None",
-        client_trace: "str | None",
+        request: protocol.Request,
         excluded: "set[str]",
         tried: "list[str]",
-        stream: bool,
     ) -> None:
         """The failover loop: one RENDER (a single FRAME) or one STREAM.
 
@@ -1009,11 +971,15 @@ class ShardRouter(WireServer):
         gaps include the client's own drain stalls, which are not
         serving latency.
         """
+        request_id, stream, deadline = (
+            request.request_id, request.stream, request.deadline
+        )
+        msg_type = MessageType.STREAM if stream else MessageType.RENDER
         sent = 0
         started = asyncio.get_running_loop().time()
         while True:
             try:
-                link = await self._acquire_link(scene_id, excluded, deadline)
+                link = await self._acquire_link(request.scene_id, excluded, deadline)
             except ProtocolError as exc:  # a spent budget, a refused push
                 self.stats.errors += 1
                 await self._send_error(conn, request_id, exc.code, str(exc))
@@ -1025,23 +991,14 @@ class ShardRouter(WireServer):
             tried.append(link.spec.backend_id)
             try:
                 base = sent
-                header = {"request_id": backend_id, "scene_id": scene_id}
-                if stream:
-                    header["cameras"] = cameras[base:]
-                else:
-                    header["camera"] = cameras
-                header["class"] = request_class
-                if client_trace is not None:
-                    header["trace"] = client_trace
-                remaining_ms = protocol.deadline_remaining_ms(deadline)
-                if remaining_ms is not None:
-                    header["deadline_ms"] = remaining_ms
-                await link.send(
-                    protocol.encode_frame(
-                        MessageType.STREAM if stream else MessageType.RENDER,
-                        header,
-                    )
+                cameras = request.cameras[base:]
+                header = protocol.header(
+                    msg_type, request_id=backend_id, scene_id=request.scene_id,
+                    **({"cameras": cameras} if stream else {"camera": cameras[0]}),
+                    class_=request.request_class, trace=request.trace,
+                    deadline_ms=protocol.deadline_remaining_ms(deadline),
                 )
+                await link.send(protocol.encode_frame(msg_type, header))
                 while True:
                     frame = await self._backend_frame(link, queue, deadline)
                     link.moved()
@@ -1050,7 +1007,7 @@ class ShardRouter(WireServer):
                         await self._checked(link, frame)
                         if sent == 0:
                             self._observe(
-                                request_class,
+                                request.request_class,
                                 asyncio.get_running_loop().time() - started,
                             )
                         parts = protocol.relay_parts(
@@ -1084,10 +1041,12 @@ class ShardRouter(WireServer):
                             request_id=request_id,
                         )
                         return
-                    elif frame.type is MessageType.ERROR and int(
-                        frame.header.get("code", 0)
-                    ) == int(ErrorCode.SHUTTING_DOWN):
-                        if frame.header.get("draining"):
+                    elif (
+                        frame.type is MessageType.ERROR
+                        and (error := protocol.error_fields(frame)).code
+                        is ErrorCode.SHUTTING_DOWN
+                    ):
+                        if error.draining:
                             # An announced departure: gate the backend
                             # off new placements immediately (no
                             # hysteresis) on top of the failover.
@@ -1096,7 +1055,12 @@ class ShardRouter(WireServer):
                             f"backend {link.spec.backend_id} is shutting down"
                         )
                     else:
-                        await self._relay(conn, request_id, frame)
+                        # Any other answer — a backend's ERROR, a 404 or a
+                        # 429 with its retry_after_ms hint — crosses the
+                        # hop verbatim except for the request id.
+                        if frame.type is MessageType.ERROR:
+                            self.stats.errors += 1
+                        await self._send(conn, *protocol.relay_parts(frame, request_id))
                         return
             except LinkLostError as exc:
                 self._mark_failover(link, excluded, exc)
@@ -1142,18 +1106,6 @@ class ShardRouter(WireServer):
             )
         except LinkLostError:
             pass
-
-    async def _relay(
-        self, conn: _Connection, request_id: int, frame: Frame
-    ) -> None:
-        """Forward a backend answer verbatim except for the request id.
-
-        A backend's ERROR — a 404, or a 429 with its ``retry_after_ms``
-        hint — crosses the hop untranslated.
-        """
-        if frame.type is MessageType.ERROR:
-            self.stats.errors += 1
-        await self._send(conn, *protocol.relay_parts(frame, request_id))
 
     # -- stats aggregation ----------------------------------------------
     #: Deadline per backend stats round trip — deliberately short (the
@@ -1208,27 +1160,17 @@ class ShardRouter(WireServer):
         backends: "dict[str, dict]" = {}
         for spec, entry in zip(specs, entries):
             backends[spec.backend_id] = entry
-            for key, value in entry.get("service", {}).items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                totals[key] = totals.get(key, 0) + value
-            for name, count in entry.get("service", {}).get(
-                "class_requests", {}
-            ).items():
-                class_requests[name] = class_requests.get(name, 0) + int(count)
+            service = entry.get("service", {})
+            _add_numbers(totals, service)
+            _add_numbers(class_requests, service.get("class_requests", {}))
             for name, cls_stats in (
                 entry.get("gateway", {}).get("admission", {}).get("classes", {})
             ).items():
-                bucket = class_totals.setdefault(name, {})
-                for key in ("pending", "admitted", "rejected", "shed"):
-                    value = cls_stats.get(key, 0)
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        continue
-                    bucket[key] = bucket.get(key, 0) + value
+                _add_numbers(
+                    class_totals.setdefault(name, {}),
+                    cls_stats,
+                    ("pending", "admitted", "rejected", "shed"),
+                )
         if class_requests:
             totals["class_requests"] = class_requests  # type: ignore[assignment]
         return {

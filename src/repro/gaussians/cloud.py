@@ -54,9 +54,9 @@ class GaussianCloud:
         self.opacities = np.asarray(self.opacities, dtype=np.float64)
         self.sh_coeffs = np.asarray(self.sh_coeffs, dtype=np.float64)
 
-        n = self.positions.shape[0]
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError(f"positions must be (n, 3), got {self.positions.shape}")
+        n = self.positions.shape[0]
         if self.scales.shape != (n, 3):
             raise ValueError(f"scales must be ({n}, 3), got {self.scales.shape}")
         if self.rotations.shape != (n, 4):

@@ -46,4 +46,8 @@ def token_matches(expected: str, presented) -> bool:
     """
     if not isinstance(presented, str):
         presented = "\x00"
-    return hmac.compare_digest(expected.encode("utf-8"), presented.encode("utf-8"))
+    # "surrogatepass": a JSON "\\ud800" escape must fail the compare, not raise.
+    return hmac.compare_digest(
+        expected.encode("utf-8", "surrogatepass"),
+        presented.encode("utf-8", "surrogatepass"),
+    )

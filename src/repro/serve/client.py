@@ -68,16 +68,6 @@ class GatewayError(RuntimeError):
         self.draining = draining
 
 
-def _error_from_frame(frame: Frame) -> GatewayError:
-    """Translate one ERROR frame into the exception the caller sees."""
-    return GatewayError(
-        int(frame.header.get("code", ErrorCode.INTERNAL)),
-        str(frame.header.get("message", "gateway error")),
-        retry_after_ms=frame.header.get("retry_after_ms"),
-        draining=bool(frame.header.get("draining", False)),
-    )
-
-
 def _checked_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":
     """Decode a FRAME after verifying its optional checksum.
 
@@ -95,24 +85,30 @@ def _checked_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":
 
 
 def _frame_meta(frame: Frame) -> dict:
-    """Serving metadata riding a FRAME header (absent fields omitted).
+    """Serving metadata riding a FRAME header: its optional fields that
+    are present.
 
     ``backend`` is the id of the node whose engine rendered the frame —
     across a router, the *actual* server after any failover, not the
     one first routed to; ``trace`` is the echoed request trace id;
     ``sha256`` the blob digest.
     """
-    meta = {}
-    for key in ("backend", "trace", "sha256"):
-        value = frame.header.get(key)
-        if value is not None:
-            meta[key] = value
-    return meta
+    return {
+        spec.name: frame.header[spec.name]
+        for spec in protocol.MESSAGES[MessageType.FRAME].fields
+        if not spec.required and frame.header.get(spec.name) is not None
+    }
 
 
 def _gateway_error(exc: ProtocolError) -> GatewayError:
-    """A failed handshake or a spent budget, as the caller sees it."""
-    return GatewayError(int(exc.code), str(exc))
+    """A failed handshake, a spent budget or an ERROR frame's fields
+    (:func:`~repro.serve.protocol.error_fields`), as the caller sees it."""
+    return GatewayError(
+        int(exc.code),
+        str(exc),
+        retry_after_ms=exc.retry_after_ms,
+        draining=exc.draining,
+    )
 
 
 #: Read-ahead bound of an :class:`AsyncGatewayClient` connection: its
@@ -207,22 +203,18 @@ class AsyncGatewayClient:
                     # elsewhere).
                     break
                 request_id = frame.header.get("request_id")
-                queue = self._queues.get(request_id)
+                queue = self._queues.get(request_id) if type(request_id) is int else None
                 if queue is not None:
                     queue.put_nowait(frame)
-                elif request_id is None and frame.type in (
-                    MessageType.SCENE_OK,
-                    MessageType.STATS_OK,
-                    MessageType.METRICS_OK,
-                    MessageType.ERROR,
-                ):
+                elif request_id is None and frame.type in protocol.CONTROL_REPLIES:
                     # Control replies carry no request id (a null-id
                     # ERROR is connection-scoped).  A frame *with* an id
                     # but no queue — including a late ERROR for a stream
                     # we abandoned — must not poison the control queue.
                     self._control.put_nowait(frame)
                 # Anything else is a stale frame for a request we
-                # abandoned (cancelled stream): drop it.
+                # abandoned (cancelled stream), or one whose id is not an
+                # integer and so names no request: drop it.
         except (ProtocolError, ConnectionError, OSError) as exc:
             self._conn_exc = exc
         finally:
@@ -253,7 +245,7 @@ class AsyncGatewayClient:
         if frame is None:
             raise self._lost()
         if frame.type is MessageType.ERROR:
-            raise _error_from_frame(frame)
+            raise _gateway_error(protocol.error_fields(frame))
         return frame
 
     async def _control_roundtrip(
@@ -314,13 +306,11 @@ class AsyncGatewayClient:
         except ProtocolError as exc:
             raise _gateway_error(exc) from None
         request_id = next(self._ids)
-        header = {"request_id": request_id, "scene_id": scene_id, **fields}
-        if request_class is not None:
-            header["class"] = request_class
-        if deadline_ms is not None:
-            header["deadline_ms"] = protocol.wire_ms(deadline_ms)
-        if trace is not None:
-            header["trace"] = trace
+        header = protocol.header(
+            message_type, request_id=request_id, scene_id=scene_id, **fields,
+            class_=request_class, trace=trace,
+            deadline_ms=None if deadline_ms is None else protocol.wire_ms(deadline_ms),
+        )
         queue = self._queues[request_id] = asyncio.Queue()
         try:
             await self._send(protocol.encode_frame(message_type, header))

@@ -150,9 +150,10 @@ class GatewayStats:
     connections:
         TCP protocol connections accepted.
     requests:
-        RENDER + STREAM requests admitted (admission happens before
-        request decoding, so this includes admitted requests that later
-        fail validation or rendering).
+        RENDER + STREAM requests admitted (admission happens after the
+        header check but before scene lookup and camera decoding, so
+        this includes admitted requests that later fail those or
+        rendering).
     streams:
         STREAM requests admitted (subset of ``requests``).
     frames_sent:
@@ -302,15 +303,6 @@ class RenderGateway(WireServer):
             self._orbits[name] = list(cameras)
         return fingerprint
 
-    def _resolve_scene(self, scene_id) -> GaussianCloud:
-        """Look a scene id (name or fingerprint) up, or raise 404."""
-        cloud = self._scenes.get(scene_id) if isinstance(scene_id, str) else None
-        if cloud is None:
-            raise ProtocolError(
-                f"unknown scene {scene_id!r}", code=ErrorCode.UNKNOWN_SCENE
-            )
-        return cloud
-
     # -- what the core asks of a gateway ---------------------------------
     def _hello_extras(self) -> dict:
         return {
@@ -349,42 +341,28 @@ class RenderGateway(WireServer):
             protocol.encode_frame(MessageType.SCENE_OK, {"scene_id": scene_id}),
         )
 
-    def _fulfil(
-        self, conn, request_id, frame, request_class, deadline, trace,
-        client_trace,
-    ):
-        """Resolve the scene and decode the camera(s) before serving."""
-        header = frame.header
-        cloud = self._resolve_scene(header.get("scene_id"))
-        stream = frame.type is MessageType.STREAM
-        if stream:
-            specs = header.get("cameras")
-            if not isinstance(specs, list) or not specs:
-                raise ProtocolError("STREAM needs a non-empty camera list")
-        else:
-            specs = [header.get("camera") or {}]
-        return self._serve(
-            conn, request_id, cloud,
-            [protocol.decode_camera(spec) for spec in specs],
-            request_class, deadline, trace, client_trace, stream=stream,
-        )
+    def _fulfil(self, conn, request):
+        """Look the scene up (name or fingerprint; else a 404) and decode
+        the camera(s) before serving."""
+        cloud = self._scenes.get(request.scene_id)
+        if cloud is None:
+            raise ProtocolError(
+                f"unknown scene {request.scene_id!r}",
+                code=ErrorCode.UNKNOWN_SCENE,
+            )
+        cameras = [protocol.decode_camera(spec) for spec in request.cameras]
+        return self._serve(conn, request, cloud, cameras)
 
     async def _serve(
         self,
         conn: _Connection,
-        request_id: int,
+        request: protocol.Request,
         cloud: GaussianCloud,
         cameras: "list[Camera]",
-        request_class: str,
-        deadline: "float | None",
-        trace: "str | None",
-        client_trace: "str | None",
-        *,
-        stream: bool,
     ) -> None:
         """Serve one RENDER (one FRAME) or STREAM (ordered FRAMEs, END).
 
-        A failure answers an ERROR frame instead: 504 once
+        A failure answers an ERROR frame instead: 504 once the request's
         ``deadline`` (absolute monotonic, covering the service wait
         *and* every write) has passed — an answer the client can still
         act on, unlike a late frame — and 500 for a render failure.
@@ -397,28 +375,31 @@ class RenderGateway(WireServer):
         the first frame only — later gaps include the client's own
         drain stalls, which are not service latency.
         """
+        request_id, stream, deadline = (
+            request.request_id, request.stream, request.deadline
+        )
         sent = 0
         try:
             loop = asyncio.get_running_loop()
             started = loop.time()
             if stream:
                 results = self.service.stream_trajectory(
-                    cloud, cameras, request_class=request_class,
-                    deadline=deadline, trace=trace,
+                    cloud, cameras, request_class=request.request_class,
+                    deadline=deadline, trace=request.span_trace,
                 )
             else:
                 results = _one_frame(
                     self.service.render_frame(
-                        cloud, cameras[0], request_class=request_class,
-                        deadline=deadline, trace=trace,
+                        cloud, cameras[0], request_class=request.request_class,
+                        deadline=deadline, trace=request.span_trace,
                     )
                 )
             async for index, result in results:
                 if sent == 0:
-                    self._observe(request_class, loop.time() - started)
+                    self._observe(request.request_class, loop.time() - started)
                 head, blob = protocol.result_frame_parts(
                     request_id, index, result,
-                    backend=self.node_id, trace=client_trace,
+                    backend=self.node_id, trace=request.trace,
                 )
                 wire_start = self.tracer.now() if self.tracer.enabled else 0.0
                 await self._send(
@@ -427,7 +408,7 @@ class RenderGateway(WireServer):
                 if self.tracer.enabled:
                     self.tracer.record(
                         "wire",
-                        trace=trace,
+                        trace=request.span_trace,
                         start=wire_start,
                         end=self.tracer.now(),
                         attrs={"bytes": len(head) + len(blob), "index": index},

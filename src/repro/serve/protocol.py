@@ -16,29 +16,13 @@ extrinsics, stat counters) ride in the JSON header: CPython's JSON
 encoder emits the shortest round-tripping ``repr`` of a double, so they
 are exact too.
 
-Message types (:class:`MessageType`) and who sends them:
-
-===========  =========  ====================================================
-type         direction  meaning
-===========  =========  ====================================================
-HELLO        S -> C     greeting after connect: protocol version + limits
-AUTH         C -> S     shared-secret token; required first frame when
-                        HELLO carries ``auth_required``
-SCENE        C -> S     register a Gaussian cloud (arrays in the blob)
-SCENE_OK     S -> C     scene accepted; header carries its ``scene_id``
-RENDER       C -> S     one-shot frame request for ``(scene_id, camera)``
-STREAM       C -> S     trajectory request: ordered list of cameras
-FRAME        S -> C     one rendered frame (image blob + stats header)
-END          S -> C     a stream finished; header counts its frames
-ERROR        S -> C     request-scoped or connection-scoped failure
-CANCEL       C -> S     abandon a previously submitted request id
-STATS        C -> S     ask for the service/gateway counters
-STATS_OK     S -> C     the counters, as a JSON object
-BYE          C -> S     graceful goodbye; the server closes the connection
-METRICS      C -> S     ask for the observability export (counters,
-                        gauges, per-stage latency histograms)
-METRICS_OK   S -> C     the metrics snapshot, as a JSON object
-===========  =========  ====================================================
+Message types (:class:`MessageType`), who sends each, and each one's
+header fields in wire order are declared once, in :data:`MESSAGES`.
+The table is the contract: :func:`check_request` validates RENDER,
+STREAM and CANCEL headers against it for every server, :func:`header`
+builds request and ERROR headers from it for every requester,
+:func:`error_fields` reads ERROR headers for every receiver, and the
+``docs/serving.md`` message table is checked against it.
 
 ``RENDER`` and ``STREAM`` headers may carry an optional ``class`` field
 naming the request's admission class (``interactive`` | ``bulk`` |
@@ -104,8 +88,13 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import keyword
+import math
+import operator
 import os
+import re
 import struct
+import sys
 import threading
 import time
 from collections import deque
@@ -113,6 +102,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,6 +211,202 @@ class Frame:
     )
 
 
+# -- the message table ---------------------------------------------------
+class Field(NamedTuple):
+    """One header field: its wire name, its kind (a key of :data:`KINDS`)
+    and whether every message of its type carries it."""
+
+    name: str
+    kind: str
+    required: bool
+
+
+class Message(NamedTuple):
+    """One message type: who sends it, its header fields in wire order,
+    what its blob carries, and what the fields do not say."""
+
+    direction: str
+    fields: "tuple[Field, ...]"
+    blob: str
+    note: str
+
+
+def _message(direction: str, fields: str = "", blob: str = "—", note: str = ""):
+    """A :class:`Message` from ``"name:kind name:kind? …"`` (a trailing
+    ``?`` marks an optional field)."""
+    specs = (item.split(":") for item in fields.split())
+    parsed = tuple(Field(name, k.rstrip("?"), not k.endswith("?")) for name, k in specs)
+    return Message(direction, parsed, blob, note)
+
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    """A string UTF-8 can carry: a JSON ``\\ud800`` escape is not one."""
+    return isinstance(value, str) and not _SURROGATE.search(value)
+
+
+def _is_trace(value) -> bool:
+    from repro.trace.tracer import valid_trace_id
+
+    return valid_trace_id(value)
+
+
+#: Field kinds: what a value must be, and the 400 a request whose field
+#: is not answers (``{type}``, ``{field}`` and ``{value}`` filled in).
+#: A budget is a positive number of milliseconds a float can hold.
+KINDS = {
+    "int": (_is_int, "{field} must be an integer"),
+    "str": (_is_str, "{field} must be a string"),
+    "bool": (lambda v: isinstance(v, bool), "{field} must be a bool"),
+    "object": (lambda v: isinstance(v, dict), "{field} must be an object"),
+    "list": (lambda v: isinstance(v, list), "{field} must be a list"),
+    "camera": (lambda v: isinstance(v, dict), "{type} needs a camera object"),
+    "cameras": (
+        lambda v: isinstance(v, list) and v and all(isinstance(c, dict) for c in v),
+        "{type} needs a non-empty camera list",
+    ),
+    "budget": (
+        lambda v: (_is_int(v) or isinstance(v, float)) and 0 < v <= sys.float_info.max,
+        "{field} must be a positive number, got {value!r}",
+    ),
+    "trace": (_is_trace, "invalid trace id: {value!r}"),
+    "any": (lambda v: True, ""),
+}
+
+_REQUEST = "request_id:int scene_id:str {} class:str? deadline_ms:budget? trace:trace?"
+
+#: Every message type's header, in wire order (see the module doc).
+MESSAGES = {
+    MessageType.HELLO: _message(
+        "S→C on connect",
+        "version:int max_pending:int scenes:list auth_required:bool classes:list "
+        "default_class:str role:str? backends:int? replication:int?",
+        note="each server keeps its own key order; only a router sends the last three",
+    ),
+    MessageType.SCENE: _message(
+        "C→S", "arrays:list", "the five cloud arrays, concatenated",
+        note="`[{name, dtype, shape}, …]`",
+    ),
+    MessageType.SCENE_OK: _message("S→C", "scene_id:str", note="content fingerprint"),
+    MessageType.RENDER: _message("C→S", _REQUEST.format("camera:camera")),
+    MessageType.STREAM: _message("C→S", _REQUEST.format("cameras:cameras")),
+    MessageType.FRAME: _message(
+        "S→C",
+        "request_id:int index:int image:object stats:object backend:str? "
+        "trace:trace? sha256:str?",
+        "raw image bytes",
+        note="`image` is `{dtype, shape}`",
+    ),
+    MessageType.END: _message("S→C", "request_id:int frames:int"),
+    MessageType.ERROR: _message(
+        "S→C",
+        "request_id:any code:int message:str retry_after_ms:int? draining:bool?",
+        note="`request_id` is the failed request's as sent, or null",
+    ),
+    MessageType.CANCEL: _message("C→S", "request_id:int"),
+    MessageType.STATS: _message("C→S"),
+    MessageType.STATS_OK: _message("S→C", "service:object gateway:object"),
+    MessageType.BYE: _message("C→S (goodbye) / S→C (drain)", "draining:bool?"),
+    MessageType.AUTH: _message("C→S first frame", "token:str"),
+    MessageType.METRICS: _message("C→S"),
+    MessageType.METRICS_OK: _message("S→C", "node:str", note="the `/metrics` document"),
+}
+
+#: Replies that carry no request id: each answers the control message
+#: sent before it (SCENE, STATS, METRICS), or is a connection-scoped
+#: ERROR.  Their order on the connection is their only correlation.
+CONTROL_REPLIES = (
+    MessageType.SCENE_OK, MessageType.STATS_OK,
+    MessageType.METRICS_OK, MessageType.ERROR,
+)
+
+
+@dataclass
+class Request:
+    """A checked RENDER, STREAM or CANCEL (:func:`check_request`).
+
+    ``cameras`` are the raw camera objects (a RENDER's one, in a list);
+    ``deadline`` is the budget pinned at arrival; ``trace`` the
+    requester's id, the only one ever echoed or forwarded.  A server
+    resolves ``request_class`` to its roster and sets ``span_trace``,
+    the id its own spans carry (``trace``, or one it minted).
+    """
+
+    request_id: int
+    scene_id: "str | None" = None
+    cameras: "list[dict]" = field(default_factory=list)
+    stream: bool = False
+    request_class: "str | None" = None
+    deadline: "float | None" = None
+    trace: "str | None" = None
+    span_trace: "str | None" = None
+
+
+def check_request(frame: Frame) -> Request:
+    """Check a RENDER, STREAM or CANCEL header against :data:`MESSAGES`.
+
+    Every field is checked and nothing is decoded: a required field
+    that is missing, or any field of the wrong kind, is a recoverable
+    400.  An optional field sent as ``null`` is absent.
+    """
+    values = {}
+    for spec in MESSAGES[frame.type].fields:
+        value = values[spec.name] = frame.header.get(spec.name)
+        valid, message = KINDS[spec.kind]
+        if (value is not None or spec.required) and not valid(value):
+            raise ProtocolError(
+                message.format(type=frame.type.name, field=spec.name, value=value)
+            )
+    if frame.type is MessageType.CANCEL:
+        return Request(values["request_id"])
+    return Request(
+        values["request_id"], values["scene_id"],
+        values.get("cameras") or [values.get("camera")],
+        frame.type is MessageType.STREAM, values["class"],
+        deadline_from_ms(values["deadline_ms"]), values["trace"],
+    )
+
+
+def header(msg_type: MessageType, **values) -> dict:
+    """A ``msg_type`` header with its fields in :data:`MESSAGES` order.
+
+    A required field is always written; an optional one given as
+    ``None`` is left off.  ``class`` is passed as ``class_``.
+    """
+    built = {}
+    for spec in MESSAGES[msg_type].fields:
+        value = values.pop(
+            spec.name + "_" if keyword.iskeyword(spec.name) else spec.name, None
+        )
+        if value is not None or spec.required:
+            built[spec.name] = value
+    if values:
+        raise TypeError(f"{msg_type.name} has no field {next(iter(values))!r}")
+    return built
+
+
+def error_fields(frame: Frame) -> ProtocolError:
+    """An ERROR frame's fields, as the :class:`ProtocolError` it reports.
+
+    A ``code`` that is missing, not an integer or not an
+    :class:`ErrorCode` reads as 500 INTERNAL; a ``retry_after_ms`` that
+    is not an integer, as none.
+    """
+    code, retry_after_ms = (frame.header.get(k) for k in ("code", "retry_after_ms"))
+    return ProtocolError(
+        str(frame.header.get("message", "peer error")),
+        code=ErrorCode(code) if code in list(ErrorCode) else ErrorCode.INTERNAL,
+        retry_after_ms=retry_after_ms if _is_int(retry_after_ms) else None,
+        draining=frame.header.get("draining") is True,
+    )
+
+
 def encode_frame(
     msg_type: MessageType, header: "dict | None" = None, blob: bytes = b""
 ) -> bytes:
@@ -255,6 +441,18 @@ def _frame_parts(
     )
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
+
+
+#: The wire's JSON dialect, read side: what the encoder refuses to
+#: write — NaN, Infinity, and a literal like 1e400 that overflows a
+#: double — is refused.
+_HEADER_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 def _parse_payload(payload: "bytes | bytearray") -> Frame:
     """Decode a frame's payload (everything after the length prefix).
 
@@ -271,8 +469,11 @@ def _parse_payload(payload: "bytes | bytearray") -> Frame:
         raise ProtocolError(f"unknown message type {type_byte}") from exc
     header_bytes = payload[_HEAD.size : _HEAD.size + header_len]
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = _HEADER_DECODER.decode(header_bytes.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON, a non-finite number and
+        # an integer literal too long to convert; RecursionError, nesting
+        # too deep to parse.
         raise ProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
@@ -544,26 +745,6 @@ def deadline_from_ms(budget_ms: "float | None") -> "float | None":
     return time.monotonic() + budget_ms / 1e3
 
 
-def deadline_from_header(header: dict) -> "float | None":
-    """Parse a request header's optional ``deadline_ms`` field.
-
-    Returns the budget, pinned at arrival (the field is relative to
-    it), or ``None`` when the field is absent.  A malformed or
-    non-positive value is a recoverable ``400``: the sender asked for
-    something impossible, not a corrupt stream.
-    """
-    raw = header.get("deadline_ms")
-    if raw is None:
-        return None
-    try:
-        budget_ms = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid deadline_ms: {raw!r}") from exc
-    if not (0 < budget_ms < float("inf")):  # also rejects NaN and inf
-        raise ProtocolError(f"deadline_ms must be positive, got {raw!r}")
-    return deadline_from_ms(budget_ms)
-
-
 def wire_ms(budget_ms: float) -> int:
     """A budget as the wire carries it: whole milliseconds, at least 1,
     so a nearly spent budget still crosses as a valid field and the
@@ -618,24 +799,6 @@ async def _within(deadline: float, aw, what: str, shield: bool):
         if not bound.expired():
             raise
         raise deadline_expired(f"deadline exceeded {what}") from None
-
-
-def trace_from_header(header: dict) -> "str | None":
-    """Parse a request header's optional ``trace`` field.
-
-    Returns the validated trace id, or ``None`` when absent.  A
-    non-string, empty, oversized or unprintable value is a recoverable
-    ``400`` — the frame boundary is intact, the requester just sent a
-    nonsense id.
-    """
-    raw = header.get("trace")
-    if raw is None:
-        return None
-    from repro.trace.tracer import valid_trace_id
-
-    if not valid_trace_id(raw):
-        raise ProtocolError(f"invalid trace id: {raw!r}")
-    return raw
 
 
 async def drain_within(
@@ -734,6 +897,30 @@ def encode_cloud(cloud: GaussianCloud) -> "tuple[dict, bytes]":
     return {"arrays": arrays}, b"".join(parts)
 
 
+#: What reading a malformed JSON value as a number or an array raises.
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _wire_array(spec, blob, offset: int = 0) -> np.ndarray:
+    """The array a wire spec ``{dtype, shape}`` places at ``offset`` in
+    ``blob``, as a read-only view; a 400 unless its dtype is plain (no
+    objects, no sub-arrays, not zero-size), no dimension is negative or
+    larger than a frame, and ``blob`` holds its bytes."""
+    try:
+        dtype = np.dtype(spec["dtype"])
+        shape = tuple(operator.index(dim) for dim in spec["shape"])
+        if dtype.hasobject or dtype.shape or not dtype.itemsize:
+            raise ValueError(f"unsupported dtype {dtype.str}")
+        if not all(0 <= dim <= MAX_FRAME_BYTES for dim in shape):
+            raise ValueError(f"unsupported shape {list(shape)}")
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(blob):
+            raise ValueError("blob shorter than its array specs")
+        return np.frombuffer(blob, dtype, count, offset).reshape(shape)
+    except _BAD_VALUE as exc:
+        raise ProtocolError(f"bad array spec: {exc}") from exc
+
+
 def decode_cloud(header: dict, blob: bytes) -> GaussianCloud:
     """Rebuild a :class:`GaussianCloud` from :func:`encode_cloud` output."""
     specs = header.get("arrays")
@@ -746,28 +933,15 @@ def decode_cloud(header: dict, blob: bytes) -> GaussianCloud:
     fields = {}
     offset = 0
     for spec in specs:
-        try:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(int(dim) for dim in spec["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad scene array spec: {exc}") from exc
-        if any(dim < 0 for dim in shape):
-            raise ProtocolError("scene array shapes must be non-negative")
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = dtype.itemsize * count
-        if offset + nbytes > len(blob):
-            raise ProtocolError("scene blob shorter than its array specs")
-        fields[spec["name"]] = (
-            np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-            .reshape(shape)
-            .copy()  # GaussianCloud normalises in place; keep it writable
-        )
-        offset += nbytes
+        array = _wire_array(spec, blob, offset)
+        # GaussianCloud normalises in place; keep it writable.
+        fields[spec["name"]] = array.copy()
+        offset += array.nbytes
     if offset != len(blob):
         raise ProtocolError("scene blob longer than its array specs")
     try:
         cloud = GaussianCloud(**fields)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid cloud parameters: {exc}") from exc
     # __post_init__ re-normalises quaternions, which is not bit-idempotent
     # (dividing by a norm of ~1.0 can flip last-ulp bits).  The sender's
@@ -811,7 +985,7 @@ def decode_camera(header: dict) -> Camera:
             near=float(header["near"]),
             far=float(header["far"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ProtocolError(f"invalid camera: {exc}") from exc
 
 
@@ -868,7 +1042,7 @@ def decode_stats(header: dict) -> RenderStats:
                 for tile, alpha in header["per_tile_alpha"]
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ProtocolError(f"invalid stats payload: {exc}") from exc
 
 
@@ -1101,18 +1275,14 @@ def decode_result_frame(frame: Frame) -> "tuple[int, int, RenderResult]":
     The image is a read-only zero-copy view over the received bytes.
     """
     try:
-        spec = frame.header["image"]
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(int(dim) for dim in spec["shape"])
-        request_id = int(frame.header["request_id"])
-        index = int(frame.header["index"])
-    except (KeyError, TypeError, ValueError) as exc:
+        image = _wire_array(frame.header["image"], frame.blob)
+        request_id = operator.index(frame.header["request_id"])
+        index = operator.index(frame.header["index"])
+        stats = decode_stats(frame.header["stats"])
+    except _BAD_VALUE as exc:
         raise ProtocolError(f"invalid FRAME header: {exc}") from exc
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if count * dtype.itemsize != len(frame.blob):
+    if image.nbytes != len(frame.blob):
         raise ProtocolError("FRAME blob size does not match its image spec")
-    image = np.frombuffer(frame.blob, dtype=dtype, count=count).reshape(shape)
-    stats = decode_stats(frame.header["stats"])
     return request_id, index, RenderResult(
         image=image, stats=stats, projected=None, assignment=None
     )

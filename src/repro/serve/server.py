@@ -10,11 +10,13 @@
   handshake, framed dispatch, CANCEL / STATS / METRICS, ERROR frames
   for malformed-but-framed messages (only a corrupt frame *boundary*
   closes a connection);
-* **admission** — the one entry point to the JPAC-style
-  :class:`~repro.serve.admission.AdmissionController` (request-id
-  checks, class resolution, trace ids, the ``admission`` span, the
-  deadline pinned on arrival, one ticket released when the serving task
-  ends, the latency fed to the slow timescale);
+* **admission** — every RENDER / STREAM / CANCEL header checked
+  against :data:`~repro.serve.protocol.MESSAGES` by one
+  :func:`~repro.serve.protocol.check_request` call before any slot is
+  taken, then the one entry point to the JPAC-style
+  :class:`~repro.serve.admission.AdmissionController` (class
+  resolution, trace ids, the ``admission`` span, one ticket released
+  when the serving task ends, the latency fed to the slow timescale);
 * **deadline-bounded writes** — every frame write is bounded by
   ``write_timeout`` and the request's remaining budget, so a peer that
   stops reading costs a connection, never a wedged task;
@@ -29,8 +31,9 @@
 
 A subclass supplies what differs: its HELLO extras, its STATS and
 healthz payloads and :meth:`metrics_dict`, SCENE handling, the
-coroutine that fulfils an admitted request (render locally, or relay
-to a backend) and its ``/render`` + ``/stream`` handling.
+coroutine that fulfils an admitted, checked request
+(:class:`~repro.serve.protocol.Request`: render it locally, or relay
+it to a backend) and its ``/render`` + ``/stream`` handling.
 """
 
 from __future__ import annotations
@@ -312,17 +315,8 @@ class WireServer:
         """Handle SCENE; answer SCENE_OK or raise :class:`ProtocolError`."""
         raise NotImplementedError
 
-    def _fulfil(
-        self,
-        conn: _Connection,
-        request_id: int,
-        frame: Frame,
-        request_class: str,
-        deadline: "float | None",
-        trace: "str | None",
-        client_trace: "str | None",
-    ):
-        """Validate an admitted RENDER/STREAM; return its serving coroutine.
+    def _fulfil(self, conn: _Connection, request: protocol.Request):
+        """Return the serving coroutine of an admitted RENDER/STREAM.
 
         Called synchronously with the dispatch: a :class:`ProtocolError`
         raised here answers the request inline and returns the ticket.
@@ -613,9 +607,9 @@ class WireServer:
             if frame.type is MessageType.SCENE:
                 await self._on_scene(conn, frame)
             elif frame.type in (MessageType.RENDER, MessageType.STREAM):
-                self._on_request(conn, frame)
+                self._on_request(conn, protocol.check_request(frame))
             elif frame.type is MessageType.CANCEL:
-                task = conn.tasks.get(frame.header.get("request_id"))
+                task = conn.tasks.get(protocol.check_request(frame).request_id)
                 if task is not None and not task.done():
                     task.cancel()
                     self.stats.cancelled_requests += 1
@@ -664,53 +658,38 @@ class WireServer:
                 f"internal dispatch failure: {exc}",
             )
 
-    def _on_request(self, conn: _Connection, frame: Frame) -> None:
-        """RENDER / STREAM: admit (or 429) and spawn the serving task."""
-        header = frame.header
-        request_id = header.get("request_id")
-        if not isinstance(request_id, int):
-            raise ProtocolError("request_id must be an integer")
+    def _on_request(self, conn: _Connection, request: protocol.Request) -> None:
+        """A checked RENDER / STREAM: admit (or 429), spawn its task."""
+        request_id = request.request_id
         if request_id in conn.tasks:
             raise ProtocolError(f"request_id {request_id} is already in flight")
-        request_class = self.admission.resolve(header.get("class"))
-        # The requester's trace id (validated; None when absent).  Only
-        # this id is ever echoed on the wire or forwarded downstream —
-        # locally-minted ids stay local, so tracing cannot change
-        # served bytes.
-        client_trace = protocol.trace_from_header(header)
+        request.request_class = self.admission.resolve(request.request_class)
+        # Only the requester's trace id is ever echoed on the wire or
+        # forwarded downstream — locally-minted ids stay local, so
+        # tracing cannot change served bytes.
         tracer = self.tracer
-        trace = client_trace
-        if tracer.enabled and trace is None:
-            trace = tracer.new_trace_id()
+        request.span_trace = request.trace
+        if tracer.enabled and request.trace is None:
+            request.span_trace = tracer.new_trace_id()
         admit_start = tracer.now() if tracer.enabled else 0.0
         # Admit *synchronously* with the dispatch — the very next frame
         # on any connection sees the updated pending count — and before
         # any decoding, so the reject path stays cheap under overload.
         admitted = False
         try:
-            ticket = self._admit(
-                request_class, stream=frame.type is MessageType.STREAM
-            )
+            ticket = self._admit(request.request_class, stream=request.stream)
             admitted = True
         finally:
             if tracer.enabled:
                 tracer.record(
                     "admission",
-                    trace=trace,
+                    trace=request.span_trace,
                     start=admit_start,
                     end=tracer.now(),
-                    attrs={"admitted": admitted, "class": request_class},
+                    attrs={"admitted": admitted, "class": request.request_class},
                 )
         try:
-            # Pin the deadline before any decoding: the budget is
-            # relative to the request's *arrival*.
-            deadline = protocol.deadline_from_header(header)
-            task = asyncio.ensure_future(
-                self._fulfil(
-                    conn, request_id, frame, request_class, deadline,
-                    trace, client_trace,
-                )
-            )
+            task = asyncio.ensure_future(self._fulfil(conn, request))
         except BaseException:
             ticket.release()
             raise
@@ -778,15 +757,10 @@ class WireServer:
         draining: bool = False,
     ) -> None:
         """Best-effort ERROR frame (the peer may already be gone)."""
-        header = {
-            "request_id": request_id,
-            "code": int(code),
-            "message": message,
-        }
-        if retry_after_ms is not None:
-            header["retry_after_ms"] = int(retry_after_ms)
-        if draining:
-            header["draining"] = True
+        header = protocol.header(
+            MessageType.ERROR, request_id=request_id, code=int(code), message=message,
+            retry_after_ms=retry_after_ms, draining=draining or None,
+        )
         try:
             await self._send(
                 conn, protocol.encode_frame(MessageType.ERROR, header)

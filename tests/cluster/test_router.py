@@ -1342,3 +1342,70 @@ class TestLiveMembership:
         # With 6 scenes over 3 backends the newcomer statistically owns
         # ~2; the test only requires it genuinely joined the rotation.
         assert served_by_new >= 1
+
+
+class TestBackendLinkReceive:
+    """The router's link to a backend, against a fake backend that
+    answers STATS with frames a gateway should never send: a frame it
+    cannot route is dropped, and an ERROR is always a ProtocolError."""
+
+    @staticmethod
+    def _answer_stats_with(*frames: bytes):
+        """The control round trip's frame, or the exception it raised."""
+        from repro.cluster.router import BackendLink
+
+        async def serve(reader, writer):
+            writer.write(protocol.encode_frame(
+                MessageType.HELLO, {"version": protocol.PROTOCOL_VERSION}
+            ))
+            await writer.drain()
+            await protocol.read_frame(reader)  # the link's STATS
+            for frame in frames:
+                writer.write(frame)
+            await writer.drain()
+            await reader.read()
+            writer.close()
+
+        async def main():
+            backend = await asyncio.start_server(serve, "127.0.0.1", 0)
+            port = backend.sockets[0].getsockname()[1]
+            link = BackendLink(BackendSpec("b0", "127.0.0.1", port))
+            try:
+                await link.connect()
+                return await link.control(
+                    protocol.encode_frame(MessageType.STATS),
+                    MessageType.STATS_OK,
+                    timeout=10,
+                )
+            except Exception as exc:
+                return exc
+            finally:
+                await link.close()
+                backend.close()
+                await backend.wait_closed()
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("request_id", [[1], {"a": 1}, "1"])
+    def test_a_frame_whose_request_id_is_not_an_integer_is_dropped(
+        self, request_id
+    ):
+        answer = self._answer_stats_with(
+            protocol.encode_frame(
+                MessageType.FRAME, {"request_id": request_id, "index": 0}
+            ),
+            protocol.encode_frame(MessageType.STATS_OK, {"service": {}}),
+        )
+        assert answer.type is MessageType.STATS_OK
+
+    @pytest.mark.parametrize("code", ["x", None, [400], 999], ids=repr)
+    def test_an_error_code_that_is_no_error_code_is_a_500(self, code):
+        answer = self._answer_stats_with(
+            protocol.encode_frame(
+                MessageType.ERROR,
+                {"request_id": None, "code": code, "message": "m"},
+            )
+        )
+        assert isinstance(answer, protocol.ProtocolError)
+        assert answer.code is ErrorCode.INTERNAL
+        assert str(answer) == "m"

@@ -74,6 +74,7 @@ class TestHelpers:
         assert not token_matches("abc", None)
         assert not token_matches("abc", 42)
         assert not token_matches("abc", ["abc"])
+        assert not token_matches("abc", "\ud800")  # a JSON "\ud800" escape
 
     def test_resolve_auth_token(self, monkeypatch):
         monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)

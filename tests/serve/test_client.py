@@ -279,3 +279,69 @@ class TestSceneBudget:
         # The late SCENE_OK registered the scene: no second push.
         assert scene_id == "s"
         assert received.count(MessageType.SCENE) == 1
+
+
+class TestReceiveSide:
+    """Frames a server should never send cost the client that frame,
+    never the connection, and an ERROR always surfaces as a
+    ``GatewayError``."""
+
+    @staticmethod
+    def _answer_stats_with(*frames: bytes) -> "dict | GatewayError":
+        """What ``stats_dict`` gives when the server answers its STATS
+        with ``frames``."""
+
+        async def serve(reader, writer):
+            writer.write(_hello())
+            await writer.drain()
+            await protocol.read_frame(reader)  # the client's STATS
+            for frame in frames:
+                writer.write(frame)
+            await writer.drain()
+            await reader.read()
+            writer.close()
+
+        async def body(port):
+            client = await AsyncGatewayClient.connect("127.0.0.1", port)
+            try:
+                return await asyncio.wait_for(client.stats_dict(), 10)
+            except GatewayError as exc:
+                return exc
+            finally:
+                await client.close()
+
+        return _with_server(serve, body)
+
+    @pytest.mark.parametrize("request_id", [[1], {"a": 1}, "1", True])
+    def test_a_frame_whose_request_id_is_not_an_integer_is_dropped(
+        self, request_id
+    ):
+        stats = self._answer_stats_with(
+            protocol.encode_frame(
+                MessageType.FRAME, {"request_id": request_id, "index": 0}
+            ),
+            protocol.encode_frame(
+                MessageType.STATS_OK, {"service": {"requests": 3}, "gateway": {}}
+            ),
+        )
+        assert stats == {"requests": 3, "gateway": {}}
+
+    @pytest.mark.parametrize(
+        "code", ["x", None, [400], 999, True], ids=repr
+    )
+    def test_an_error_code_that_is_no_error_code_is_a_500(self, code):
+        error = self._answer_stats_with(
+            protocol.encode_frame(
+                MessageType.ERROR,
+                {
+                    "request_id": None,
+                    "code": code,
+                    "message": "m",
+                    "retry_after_ms": "soon",
+                },
+            )
+        )
+        assert isinstance(error, GatewayError)
+        assert error.code == int(ErrorCode.INTERNAL)
+        assert error.message == "m"
+        assert error.retry_after_ms is None

@@ -33,6 +33,13 @@ from repro.tiles.boundary import BoundaryMethod
 from tests.conftest import make_cloud
 
 
+def deadline_from_header(fields: dict) -> "float | None":
+    """The budget :func:`protocol.check_request` pins for a RENDER that
+    carries ``fields``."""
+    header = {"request_id": 1, "scene_id": "s", "camera": {}, **fields}
+    return protocol.check_request(protocol.Frame(MessageType.RENDER, header)).deadline
+
+
 @pytest.fixture(scope="module")
 def renderer():
     return GSTGRenderer(16, 64, BoundaryMethod.ELLIPSE)
@@ -54,12 +61,12 @@ def reference(scene, renderer):
 
 class TestDeadlineHelpers:
     def test_absent_field_means_no_deadline(self):
-        assert protocol.deadline_from_header({}) is None
+        assert deadline_from_header({}) is None
         assert protocol.deadline_remaining_ms(None) is None
 
     def test_budget_is_pinned_relative_to_arrival(self):
         before = time.monotonic()
-        deadline = protocol.deadline_from_header({"deadline_ms": 500})
+        deadline = deadline_from_header({"deadline_ms": 500})
         after = time.monotonic()
         assert before + 0.5 <= deadline <= after + 0.5
 
@@ -75,12 +82,12 @@ class TestDeadlineHelpers:
     )
     def test_malformed_budget_is_a_400(self, value):
         with pytest.raises(ProtocolError) as info:
-            protocol.deadline_from_header({"deadline_ms": value})
+            deadline_from_header({"deadline_ms": value})
         assert info.value.code is ErrorCode.BAD_REQUEST
 
     def test_explicit_null_budget_means_absent(self):
         # JSON ``"deadline_ms": null`` is "no deadline", not a 400.
-        assert protocol.deadline_from_header({"deadline_ms": None}) is None
+        assert deadline_from_header({"deadline_ms": None}) is None
 
     def test_deadline_expired_is_a_504(self):
         exc = protocol.deadline_expired("too late")

@@ -258,6 +258,63 @@ class TestPayloadCodecs:
         with pytest.raises(ProtocolError):
             decode_result_frame(frame)
 
+    @pytest.mark.parametrize(
+        "dtype, shape",
+        [("|O", None), ("V0", None), (None, [2**32, 2**32])],
+        ids=["object-dtype", "zero-size-dtype", "int64-overflowing-shape"],
+    )
+    def test_cloud_array_specs_a_frame_cannot_hold(self, dtype, shape):
+        """Once a 500 (not a ProtocolError) on the wire."""
+        cloud = make_cloud(10, np.random.default_rng(18))
+        header, blob = encode_cloud(cloud)
+        spec = header["arrays"][0]
+        if dtype is not None:
+            spec["dtype"] = dtype
+        if shape is not None:
+            spec["shape"] = shape
+        with pytest.raises(ProtocolError):
+            decode_cloud(header, blob)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", float("inf")), ("height", float("nan")), ("fx", 10**400)],
+        ids=["width-inf", "height-nan", "fx-1e400"],
+    )
+    def test_camera_numbers_that_do_not_fit(self, field, value):
+        """inf and 10**400 were once a 500 on the wire."""
+        header = encode_camera(Camera(width=32, height=32, fx=30.0, fy=30.0))
+        header[field] = value
+        with pytest.raises(ProtocolError):
+            decode_camera(header)
+
+    def test_deadline_too_large_for_a_float(self):
+        """Once a 500 on the wire."""
+        camera = encode_camera(Camera(width=32, height=32, fx=30.0, fy=30.0))
+        header = {"request_id": 1, "scene_id": "s", "camera": camera}
+        header["deadline_ms"] = 10**400
+        with pytest.raises(ProtocolError) as info:
+            protocol.check_request(protocol.Frame(MessageType.RENDER, header))
+        assert info.value.code is ErrorCode.BAD_REQUEST
+
+    def test_result_frame_object_dtype(self):
+        """Once a ValueError out of the client's read."""
+        cloud = make_cloud(10, np.random.default_rng(19))
+        camera = Camera(width=32, height=32, fx=30.0, fy=30.0)
+        renderer = GSTGRenderer(16, 64, BoundaryMethod.ELLIPSE)
+        result = RenderEngine(renderer).render(cloud, camera)
+        (frame,) = parse(encode_result_frame(1, 0, result))
+        frame.header["image"]["dtype"] = "|O"
+        with pytest.raises(ProtocolError):
+            decode_result_frame(frame)
+
+    def test_cloud_scalar_positions(self):
+        """A zero-dimensional positions array once raised IndexError."""
+        cloud = make_cloud(10, np.random.default_rng(20))
+        header, blob = encode_cloud(cloud)
+        header["arrays"][0]["shape"] = []
+        with pytest.raises(ProtocolError):
+            decode_cloud(header, blob[cloud.positions.nbytes - 8 :])
+
 
 def golden_result() -> RenderResult:
     """A fixed, hand-written frame: every stats field set, ints and
